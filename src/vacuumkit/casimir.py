@@ -33,6 +33,16 @@ where u_n = 2 xi_n L / c.  The T = 0 operations recover the closed forms
 for perfect mirrors to machine precision and the Matsubara sum reduces to
 them continuously as T -> 0.
 
+The T = 0 double quadrature is batched: each evaluation of the phi
+integrand at m nodes runs one vector-valued u-quadrature on the (u, phi)
+grid, with 2m columns (energy and force at every node), each held to the
+inner tolerance on its own.  Before that quadrature every column is
+divided by a power of two taken from one 32-point pass over the u range,
+so that columns many decades below the largest one still get refined;
+value and error are multiplied back exactly.  The u-integrals are cut at
+u = 80, and Matsubara terms whose u_n lies past that cut are dropped by
+the same bound.
+
 All quadratures and sums run in a fixed order; identical inputs give
 bit-identical results.
 """
@@ -41,6 +51,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +60,7 @@ from .constants import C, HBAR, K_B
 from .errors import ConvergenceError, DomainError
 from .mirrors import CavityReflection, Mirror, PerfectMirror, Polarization
 from .planck import ThermalState
-from .quadrature import adaptive_gauss_legendre
+from .quadrature import _gauss_legendre_rule, adaptive_gauss_legendre
 
 # exp(-u) beyond this u is below 1.8e-35; irrelevant against the 1e-9 targets
 _U_SPAN = 80.0
@@ -72,9 +83,13 @@ FLAG_PROXIMITY = "R_not_much_larger_than_L"
 FLAG_FEW_MATSUBARA = "few_matsubara_terms"
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
+def _check_positive(name: str, value) -> float:
+    """value as a float, if it is a finite real number > 0 (bools refused)."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0
+    ):
         raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+    return float(value)
 
 
 # --- ideal closed forms ----------------------------------------------------
@@ -82,25 +97,25 @@ def _check_positive(name: str, value: float) -> None:
 
 def ideal_force_per_area(L: float) -> float:
     """hbar c pi^2 / (240 L^4) [N/m^2]."""
-    _check_positive("L", L)
+    L = _check_positive("L", L)
     return HBAR * C * math.pi**2 / (240.0 * L**4)
 
 
 def ideal_energy_per_area(L: float) -> float:
     """hbar c pi^2 / (720 L^3) [J/m^2]."""
-    _check_positive("L", L)
+    L = _check_positive("L", L)
     return HBAR * C * math.pi**2 / (720.0 * L**3)
 
 
 def ideal_force(L: float, A: float) -> float:
     """Perfect-mirror attraction at T = 0 [N]; scales as 1/L^4."""
-    _check_positive("A", A)
+    A = _check_positive("A", A)
     return A * ideal_force_per_area(L)
 
 
 def ideal_energy(L: float, A: float) -> float:
     """Perfect-mirror binding-energy magnitude at T = 0 [J]; equals F L / 3."""
-    _check_positive("A", A)
+    A = _check_positive("A", A)
     return A * ideal_energy_per_area(L)
 
 
@@ -117,8 +132,8 @@ class CavityConfig:
     mirrors: CavityReflection
 
     def __post_init__(self):
-        _check_positive("L", self.L)
-        _check_positive("A", self.A)
+        object.__setattr__(self, "L", _check_positive("L", self.L))
+        object.__setattr__(self, "A", _check_positive("A", self.A))
         if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
             raise DomainError(f"temperature must be finite and >= 0, got {self.temperature!r}")
 
@@ -166,8 +181,8 @@ class SpherePlaneConfig:
     mirrors: CavityReflection
 
     def __post_init__(self):
-        _check_positive("R", self.R)
-        _check_positive("L", self.L)
+        object.__setattr__(self, "R", _check_positive("R", self.R))
+        object.__setattr__(self, "L", _check_positive("L", self.L))
         if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
             raise DomainError(f"temperature must be finite and >= 0, got {self.temperature!r}")
 
@@ -202,37 +217,58 @@ def _kernels(r_te, r_tm, u):
 
 
 def _zero_temperature_per_area(cavity: CavityReflection, L: float):
-    """(E/A, F/A, relative error) at T = 0 by the (u, phi) double quadrature."""
+    """(E/A, F/A, relative error) at T = 0 by the (u, phi) double quadrature.
+
+    Each call of the phi-integrand runs one vector-valued u-quadrature over
+    the (u, phi) grid of its m nodes: columns j and m + j are the energy and
+    force integrals at phi_j, and each column meets the inner tolerance on
+    its own.  Columns are divided by a power of two near their integral of
+    |f| before the quadrature (and multiplied back after, exactly), so that
+    panel selection by absolute error does not starve columns many decades
+    smaller than the largest one.
+    """
     worst_inner = [0.0]
+    x_probe, w_probe = _gauss_legendre_rule(32)
+    u_probe = 0.5 * _U_SPAN * (x_probe + 1.0)
+    w_probe = 0.5 * _U_SPAN * w_probe
 
     def outer_integrand(phis):
-        rows = np.empty((phis.size, 2))
-        for i, phi in enumerate(phis):
-            cos_phi = math.cos(phi)
-            sin_phi = math.sin(phi)
+        m = phis.size
+        cos_phi = np.cos(phis)
+        sin_phi = np.sin(phis)
 
-            def inner(u):
-                xi = (0.5 * C / L) * cos_phi * u
-                k = (0.5 / L) * sin_phi * u
-                g_e, g_f = _kernels(
-                    cavity.amplitude_imaginary(xi, k, Polarization.TE),
-                    cavity.amplitude_imaginary(xi, k, Polarization.TM),
-                    u,
-                )
-                u2 = u * u
-                return np.stack([u2 * g_e, u2 * u * g_f], axis=-1)
+        def inner(u):
+            uc = u[:, None]
+            xi = (0.5 * C / L) * cos_phi * uc
+            k = (0.5 / L) * sin_phi * uc
+            g_e, g_f = _kernels(
+                cavity.amplitude_imaginary(xi, k, Polarization.TE),
+                cavity.amplitude_imaginary(xi, k, Polarization.TM),
+                uc,
+            )
+            u2 = uc * uc
+            return np.concatenate([u2 * g_e, u2 * uc * g_f], axis=1)
 
-            res = adaptive_gauss_legendre(inner, 0.0, _U_SPAN, rel_tol=_INNER_REL_TOL)
-            if not res.converged:
-                raise ConvergenceError(
-                    f"inner u-quadrature did not converge at phi={phi:.6f} "
-                    f"(L={L:.3e} m, error estimate {res.error})"
-                )
-            scale = np.abs(res.value)
-            scale[scale == 0.0] = 1.0
-            worst_inner[0] = max(worst_inner[0], float(np.max(res.error / scale)))
-            rows[i] = sin_phi * res.value
-        return rows
+        # one 32-point pass over [0, U_SPAN] sets each column's scale
+        _, exponent = np.frexp(w_probe @ np.abs(inner(u_probe)))
+        col_scale = np.ldexp(1.0, exponent)
+
+        res = adaptive_gauss_legendre(
+            lambda u: inner(u) / col_scale, 0.0, _U_SPAN, rel_tol=_INNER_REL_TOL
+        )
+        value = res.value * col_scale
+        error = res.error * col_scale
+        if not res.converged:
+            failing = (error > _INNER_REL_TOL * np.abs(value)).reshape(2, m).any(axis=0)
+            bad = phis[failing] if failing.any() else phis
+            raise ConvergenceError(
+                f"inner u-quadrature did not converge at phi={', '.join(f'{p:.6f}' for p in bad)} "
+                f"(L={L:.3e} m, error estimate {float(np.max(error))})"
+            )
+        scale = np.abs(value)
+        scale[scale == 0.0] = 1.0
+        worst_inner[0] = max(worst_inner[0], float(np.max(error / scale)))
+        return sin_phi[:, None] * value.reshape(2, m).T
 
     outer = adaptive_gauss_legendre(outer_integrand, 0.0, 0.5 * math.pi, rel_tol=_OUTER_REL_TOL)
     if not outer.converged:
@@ -302,6 +338,12 @@ def _matsubara_per_area(cavity: CavityReflection, L: float, state: ThermalState)
                 if tail_rel < _MATSUBARA_TERM_REL:
                     break
         if n + 1 >= _MATSUBARA_MIN_TERMS and total_scale == 0.0:
+            tail_rel = 0.0
+            break
+        if (n + 1) * du > _U_SPAN:
+            # every later term starts past the cut that bounds each u-integral
+            # (the minimum term count does not apply to them); forcing them
+            # would integrate exp(-u) down into the subnormal range
             tail_rel = 0.0
             break
         n += 1
@@ -374,7 +416,9 @@ def real_mirror_force(config: CavityConfig) -> ForceResult:
     return _plane_result_zero_t(config)
 
 
-def _thermal_result(config: CavityConfig) -> ForceResult:
+def _thermal_result(config: CavityConfig, zero_t: ForceResult | None = None) -> ForceResult:
+    """Matsubara result with eta_T; ``zero_t`` is the T = 0 result of the
+    same cavity when the caller already has it."""
     if config.temperature == 0.0:
         return _plane_result_zero_t(config)
 
@@ -388,7 +432,8 @@ def _thermal_result(config: CavityConfig) -> ForceResult:
     if contributing < _FEW_TERMS_WARN:
         flags = flags + (FLAG_FEW_MATSUBARA,)
 
-    base = _plane_result_zero_t(dataclasses.replace(config, temperature=0.0))
+    if zero_t is None:
+        zero_t = _plane_result_zero_t(dataclasses.replace(config, temperature=0.0))
     return ForceResult(
         force=config.A * f_per_area,
         energy=config.A * e_per_area,
@@ -396,7 +441,7 @@ def _thermal_result(config: CavityConfig) -> ForceResult:
         eta_F=f_per_area / ideal_force_per_area(config.L),
         numerical_error=rel_err,
         flags=flags,
-        eta_T=config.A * f_per_area / base.force,
+        eta_T=config.A * f_per_area / zero_t.force,
     )
 
 
@@ -423,12 +468,15 @@ def thermal_energy(config: CavityConfig) -> ForceResult:
 @dataclass(frozen=True)
 class EtaSweepResult:
     """Log-spaced eta_E curves: conduction-only, thermal-only, combined,
-    and the product of the two single-effect columns."""
+    and the product of the two single-effect columns.  numerical_error is
+    the largest relative error estimate of the results behind the curves
+    (0 when all of them are closed forms)."""
 
     lengths: np.ndarray
     eta_plasma: np.ndarray
     eta_thermal: np.ndarray
     eta_full: np.ndarray
+    numerical_error: float
 
     @property
     def eta_product(self) -> np.ndarray:
@@ -454,12 +502,12 @@ def eta_sweep(
     the product of the two single-effect columns because the two effects
     matter in non-overlapping distance ranges.
     """
-    _check_positive("L_min", L_min)
-    _check_positive("L_max", L_max)
+    L_min = _check_positive("L_min", L_min)
+    L_max = _check_positive("L_max", L_max)
     if not L_min < L_max:
         raise DomainError(f"need L_min < L_max, got [{L_min!r}, {L_max!r}]")
-    if points < 2:
-        raise DomainError(f"points must be >= 2, got {points!r}")
+    if isinstance(points, bool) or not (isinstance(points, numbers.Integral) and points >= 2):
+        raise DomainError(f"points must be an integer >= 2, got {points!r}")
 
     perfect = PerfectMirror()
     is_perfect = isinstance(mirror, PerfectMirror)
@@ -467,22 +515,33 @@ def eta_sweep(
     eta_plasma = np.ones(points)
     eta_thermal = np.ones(points)
     eta_full = np.ones(points)
+    worst_error = 0.0
 
     for i, L in enumerate(lengths):
         L = float(L)
         if not is_perfect:
-            eta_plasma[i] = _plane_result_zero_t(CavityConfig.symmetric(L, A, 0.0, mirror)).eta_E
+            plasma = _plane_result_zero_t(CavityConfig.symmetric(L, A, 0.0, mirror))
+            eta_plasma[i] = plasma.eta_E
+            worst_error = max(worst_error, plasma.numerical_error)
         if temperature > 0.0:
-            eta_thermal[i] = _thermal_result(CavityConfig.symmetric(L, A, temperature, perfect)).eta_E
+            thermal = _thermal_result(CavityConfig.symmetric(L, A, temperature, perfect))
+            eta_thermal[i] = thermal.eta_E
+            worst_error = max(worst_error, thermal.numerical_error)
         if is_perfect:
             eta_full[i] = eta_thermal[i]
         elif temperature == 0.0:
             eta_full[i] = eta_plasma[i]
         else:
-            eta_full[i] = _thermal_result(CavityConfig.symmetric(L, A, temperature, mirror)).eta_E
+            full = _thermal_result(CavityConfig.symmetric(L, A, temperature, mirror), zero_t=plasma)
+            eta_full[i] = full.eta_E
+            worst_error = max(worst_error, full.numerical_error)
 
     return EtaSweepResult(
-        lengths=lengths, eta_plasma=eta_plasma, eta_thermal=eta_thermal, eta_full=eta_full
+        lengths=lengths,
+        eta_plasma=eta_plasma,
+        eta_thermal=eta_thermal,
+        eta_full=eta_full,
+        numerical_error=worst_error,
     )
 
 

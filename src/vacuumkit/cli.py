@@ -199,6 +199,7 @@ def _cmd_eta(args, stream) -> int:
             "eta_full": [r[3] for r in rows],
             "eta_product": [r[4] for r in rows],
         },
+        numerical_error=sweep.numerical_error,
     )
     return 0
 

@@ -3,6 +3,7 @@ sums, correction sweeps, and the sphere-plane mapping."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from vacuumkit import (
     DomainError,
     PerfectMirror,
     PlasmaMirror,
+    Polarization,
     SpherePlaneConfig,
     eta_sweep,
     ideal_energy,
@@ -25,8 +27,10 @@ from vacuumkit import (
     thermal_energy,
     thermal_force,
 )
+from vacuumkit import casimir
 from vacuumkit.casimir import FLAG_FEW_MATSUBARA, FLAG_PLANE_LIMIT, FLAG_PROXIMITY
 from vacuumkit.constants import C, HBAR, K_B
+from vacuumkit.quadrature import adaptive_gauss_legendre
 
 GOLD = PlasmaMirror.from_wavelength(136e-9)
 PERFECT = PerfectMirror()
@@ -41,6 +45,83 @@ ETA_E_THERMAL_1UM_300K = 1.02666989
 
 def cavity(L, T, mirror, A=A_CM2):
     return CavityConfig.symmetric(L, A, T, mirror)
+
+
+def lambert_perfect_per_area(L, T):
+    """(E/A, F/A) of perfect mirrors at T > 0: the Matsubara terms
+    2[u_n Li2(e^-u_n) + Li3(e^-u_n)] summed over n as one Lambert series in
+    x_m = exp(-m du), with F/A = -d(E/A)/dL."""
+    du = 4.0 * math.pi * K_B * T * L / (HBAR * C)
+    m = np.arange(1.0, math.ceil(60.0 / du) + 2.0)
+    x = np.exp(-m * du)
+    one_minus = -np.expm1(-m * du)
+    zeta3 = 1.2020569031595942
+    s = 0.5 * zeta3 + np.sum(x / (one_minus * m**3)) + du * np.sum(x / (one_minus**2 * m**2))
+    f_extra = du * du * np.sum(x * (1.0 + x) / (one_minus**3 * m))
+    e_per_area = K_B * T / (8.0 * math.pi * L**2) * 2.0 * s
+    f_per_area = K_B * T / (4.0 * math.pi * L**3) * (2.0 * s + f_extra)
+    return float(e_per_area), float(f_per_area)
+
+
+def zero_t_per_phi_loop(cavity_reflection, L):
+    """(E/A, F/A) at T = 0 with one u-quadrature per phi node: the loop the
+    batched solve replaced, kept as its reference."""
+
+    def outer_integrand(phis):
+        rows = np.empty((phis.size, 2))
+        for i, phi in enumerate(phis):
+
+            def inner(u):
+                xi = (0.5 * C / L) * math.cos(phi) * u
+                k = (0.5 / L) * math.sin(phi) * u
+                g_e, g_f = casimir._kernels(
+                    cavity_reflection.amplitude_imaginary(xi, k, Polarization.TE),
+                    cavity_reflection.amplitude_imaginary(xi, k, Polarization.TM),
+                    u,
+                )
+                return np.stack([u * u * g_e, u**3 * g_f], axis=-1)
+
+            res = adaptive_gauss_legendre(inner, 0.0, 80.0, rel_tol=1e-10)
+            assert res.converged
+            rows[i] = math.sin(phi) * res.value
+        return rows
+
+    outer = adaptive_gauss_legendre(outer_integrand, 0.0, 0.5 * math.pi, rel_tol=3e-9)
+    assert outer.converged
+    prefactor = HBAR * C / (32.0 * math.pi**2)
+    return prefactor * outer.value[0] / L**3, prefactor * outer.value[1] / L**4
+
+
+def plasma_zero_t_dblquad(L, plasma_wavelength):
+    """(E/A, F/A) at T = 0 for two identical plasma mirrors by QUADPACK, in
+    the rectangular variables x = u cos(phi), y = u sin(phi), with the
+    Fresnel amplitudes written out here."""
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    kp2 = (4.0 * math.pi * L / plasma_wavelength) ** 2  # (2 L omega_p / c)^2
+
+    def loop_amplitudes(x, y):
+        u = math.hypot(x, y)
+        km = math.sqrt(u * u + kp2)
+        r_te = (u - km) / (u + km)
+        eps_u = (1.0 + kp2 / (x * x)) * u
+        r_tm = (eps_u - km) / (eps_u + km)
+        emu = math.exp(-u)
+        return u, r_te * r_te * emu, r_tm * r_tm * emu
+
+    def energy_kernel(y, x):
+        _, a, b = loop_amplitudes(x, y)
+        return -y * (math.log1p(-a) + math.log1p(-b))
+
+    def force_kernel(y, x):
+        u, a, b = loop_amplitudes(x, y)
+        return y * u * (a / (1.0 - a) + b / (1.0 - b))
+
+    prefactor = HBAR * C / (32.0 * math.pi**2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy_integrate.IntegrationWarning)
+        j_e, _ = scipy_integrate.dblquad(energy_kernel, 1e-12, 80.0, 0.0, 80.0, epsabs=0.0, epsrel=1e-11)
+        j_f, _ = scipy_integrate.dblquad(force_kernel, 1e-12, 80.0, 0.0, 80.0, epsabs=0.0, epsrel=1e-11)
+    return prefactor * j_e / L**3, prefactor * j_f / L**4
 
 
 class TestIdealClosedForms:
@@ -58,6 +139,15 @@ class TestIdealClosedForms:
 
     def test_linear_in_area(self):
         assert ideal_force(1e-6, 2 * A_CM2) == pytest.approx(2 * ideal_force(1e-6, A_CM2), rel=1e-15)
+
+    def test_bool_rejected(self):
+        with pytest.raises(DomainError):
+            ideal_force(True, 1.0)
+
+    def test_numpy_real_scalar_accepted(self):
+        L = np.float32(1e-6)
+        assert ideal_force(L, A_CM2) == ideal_force(float(L), A_CM2)
+        assert type(cavity(L, 0.0, GOLD).L) is float
 
     @pytest.mark.parametrize("L,A", [(0.0, 1.0), (-1e-6, 1.0), (1e-6, 0.0), (math.nan, 1.0)])
     def test_domain_errors(self, L, A):
@@ -241,6 +331,64 @@ class TestThermalPath:
         assert a.numerical_error == b.numerical_error
 
 
+class TestZeroTemperatureRegime:
+    LENGTHS = [10.0**e for e in range(-9, -2)]  # 1 nm ... 1 mm
+    PLASMA_WAVELENGTHS = [0.1e-9, 136e-9, 1e-6]
+
+    @pytest.mark.parametrize("plasma_wavelength", PLASMA_WAVELENGTHS)
+    def test_grid_converges_within_ceiling(self, plasma_wavelength):
+        mirror = PlasmaMirror.from_wavelength(plasma_wavelength)
+        for L in self.LENGTHS:
+            e_per_area, f_per_area, rel_err = casimir._zero_temperature_per_area(
+                CavityReflection(mirror, mirror), L
+            )
+            assert 0.0 < rel_err <= 1e-8, (L, rel_err)
+            assert 0.0 < e_per_area < ideal_energy_per_area(L)
+            assert 0.0 < f_per_area < HBAR * C * math.pi**2 / (240.0 * L**4)
+
+    @pytest.mark.parametrize("L, plasma_wavelength", [(1e-9, 1e-6), (1e-8, 136e-9)])
+    def test_against_dblquad(self, L, plasma_wavelength):
+        # transparent regime, where the phi columns span many decades
+        mirror = PlasmaMirror.from_wavelength(plasma_wavelength)
+        e_per_area, f_per_area, _ = casimir._zero_temperature_per_area(
+            CavityReflection(mirror, mirror), L
+        )
+        e_ref, f_ref = plasma_zero_t_dblquad(L, plasma_wavelength)
+        assert e_per_area == pytest.approx(e_ref, rel=1e-9)
+        assert f_per_area == pytest.approx(f_ref, rel=1e-9)
+
+    @pytest.mark.parametrize("L", [0.1e-6, 1e-6])
+    def test_against_per_phi_loop(self, L):
+        pair = CavityReflection(GOLD, GOLD)
+        e_per_area, f_per_area, rel_err = casimir._zero_temperature_per_area(pair, L)
+        e_ref, f_ref = zero_t_per_phi_loop(pair, L)
+        assert e_per_area == pytest.approx(e_ref, rel=rel_err)
+        assert f_per_area == pytest.approx(f_ref, rel=rel_err)
+
+    def test_inner_failure_names_phi_and_length(self, monkeypatch):
+        monkeypatch.setattr(casimir, "_INNER_REL_TOL", 1e-20)  # below the round-off floor
+        with pytest.raises(ConvergenceError, match=r"phi=\d\.\d{6}.*L=1\.000e-06 m"):
+            real_mirror_energy(cavity(1e-6, 0.0, GOLD))
+
+
+class TestLargeDistanceMatsubara:
+    # at 300 K, u_1 lies near or past the u cut of 80 from about 24 um on
+    @pytest.mark.parametrize("L", [24.79e-6, 26e-6, 40e-6])
+    def test_perfect_mirrors_match_lambert_series(self, L):
+        res = thermal_force(cavity(L, 300.0, PERFECT, A=1.0))
+        e_ref, f_ref = lambert_perfect_per_area(L, 300.0)
+        assert res.energy == pytest.approx(e_ref, rel=res.numerical_error)
+        assert res.force == pytest.approx(f_ref, rel=res.numerical_error)
+
+    @pytest.mark.parametrize("L", [26e-6, 40e-6])
+    def test_gold_sphere_plane_returns(self, L):
+        config = SpherePlaneConfig(R=1e-3, L=L, temperature=300.0, mirrors=CavityReflection(GOLD, GOLD))
+        res = sphere_plane_force(config)
+        perfect = thermal_energy(cavity(L, 300.0, PERFECT, A=1.0))
+        assert 0.0 < res.plane_energy_per_area < perfect.energy
+        assert 0.0 < res.numerical_error <= 1e-8
+
+
 class TestEtaSweep:
     def test_perfect_zero_temperature_all_unity(self):
         sweep = eta_sweep(0.5e-6, 5e-6, 4, PERFECT, 0.0)
@@ -265,6 +413,39 @@ class TestEtaSweep:
             eta_sweep(1e-6, 1e-7, 5, GOLD, 300.0)
         with pytest.raises(DomainError):
             eta_sweep(1e-7, 1e-6, 1, GOLD, 300.0)
+
+    def test_fractional_points_rejected(self):
+        with pytest.raises(DomainError):
+            eta_sweep(1e-7, 1e-6, 2.5, GOLD, 300.0)
+
+    def test_one_zero_temperature_solve_per_point(self, monkeypatch):
+        calls = []
+        solve = casimir._zero_temperature_per_area
+
+        def counting(cavity_reflection, L):
+            calls.append(L)
+            return solve(cavity_reflection, L)
+
+        monkeypatch.setattr(casimir, "_zero_temperature_per_area", counting)
+        sweep = eta_sweep(0.5e-6, 2e-6, 3, GOLD, 300.0)
+        assert len(calls) == 3
+        # eta_full and the error estimate match the single-point calls
+        for L, eta_full in zip(sweep.lengths, sweep.eta_full):
+            assert eta_full == thermal_energy(cavity(float(L), 300.0, GOLD)).eta_E
+
+    def test_error_estimate_is_worst_behind_sweep(self):
+        sweep = eta_sweep(0.5e-6, 2e-6, 2, GOLD, 300.0)
+        behind = [
+            f(cavity(float(L), T, mirror)).numerical_error
+            for L in sweep.lengths
+            for f, T, mirror in (
+                (real_mirror_energy, 0.0, GOLD),
+                (thermal_energy, 300.0, PERFECT),
+                (thermal_energy, 300.0, GOLD),
+            )
+        ]
+        assert sweep.numerical_error == max(behind)
+        assert eta_sweep(0.5e-6, 2e-6, 2, PERFECT, 0.0).numerical_error == 0.0
 
 
 class TestSpherePlane:

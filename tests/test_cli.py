@@ -85,6 +85,14 @@ class TestValues:
         )
         assert record["outputs"]["eta_E"] > 0.99
 
+    def test_eta_json_reports_error_estimate(self, capsys):
+        argv = ["eta", "--lmin-um", "1", "--lmax-um", "2", "--points", "2", "--format", "json",
+                "--temperature-K", "300"]
+        gold = run_json(capsys, argv + ["--material", "gold"])
+        assert 0.0 < gold["numerical_error"] < 1e-8
+        perfect_t0 = run_json(capsys, argv[:-2] + ["--temperature-K", "0", "--material", "perfect"])
+        assert perfect_t0["numerical_error"] == 0.0
+
     def test_plasma_material_spelling(self, capsys):
         a = run_json(capsys, ["force", "--length-um", "1", "--area-cm2", "1", "--material", "gold"])
         b = run_json(capsys, ["force", "--length-um", "1", "--area-cm2", "1", "--material", "plasma:136"])
