@@ -43,13 +43,18 @@ value and error are multiplied back exactly.  The u-integrals are cut at
 u = 80, and Matsubara terms whose u_n lies past that cut are dropped by
 the same bound.
 
+``_per_area(mirrors, L, T)`` is the single dispatch point: it picks the
+closed form, the T = 0 quadrature or the Matsubara sum, flags a sum with
+few contributing terms and raises ConvergenceError above the error
+ceiling.  Every public operation, the sweep and the sphere-plane mapping
+are built on it.
+
 All quadratures and sums run in a fixed order; identical inputs give
 bit-identical results.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -57,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C, HBAR, K_B
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _check_positive
 from .mirrors import CavityReflection, Mirror, PerfectMirror, Polarization
 from .planck import ThermalState
 from .quadrature import _gauss_legendre_rule, adaptive_gauss_legendre
@@ -81,15 +86,6 @@ _ERROR_CEILING = 1e-8
 FLAG_PLANE_LIMIT = "A_not_much_larger_than_L_squared"
 FLAG_PROXIMITY = "R_not_much_larger_than_L"
 FLAG_FEW_MATSUBARA = "few_matsubara_terms"
-
-
-def _check_positive(name: str, value) -> float:
-    """value as a float, if it is a finite real number > 0 (bools refused)."""
-    if isinstance(value, bool) or not (
-        isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0
-    ):
-        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
-    return float(value)
 
 
 # --- ideal closed forms ----------------------------------------------------
@@ -134,17 +130,14 @@ class CavityConfig:
     def __post_init__(self):
         object.__setattr__(self, "L", _check_positive("L", self.L))
         object.__setattr__(self, "A", _check_positive("A", self.A))
-        if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
-            raise DomainError(f"temperature must be finite and >= 0, got {self.temperature!r}")
+        object.__setattr__(
+            self, "temperature", _check_positive("temperature", self.temperature, allow_zero=True)
+        )
 
     @property
     def plane_limit_ok(self) -> bool:
         """Large-plate condition A >> L^2, checked as A > 100 L^2."""
         return self.A > 100.0 * self.L**2
-
-    @property
-    def thermal_state(self) -> ThermalState:
-        return ThermalState(self.temperature)
 
     @classmethod
     def symmetric(cls, L: float, A: float, temperature: float, mirror: Mirror) -> "CavityConfig":
@@ -183,8 +176,9 @@ class SpherePlaneConfig:
     def __post_init__(self):
         object.__setattr__(self, "R", _check_positive("R", self.R))
         object.__setattr__(self, "L", _check_positive("L", self.L))
-        if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
-            raise DomainError(f"temperature must be finite and >= 0, got {self.temperature!r}")
+        object.__setattr__(
+            self, "temperature", _check_positive("temperature", self.temperature, allow_zero=True)
+        )
 
     @property
     def proximity_ok(self) -> bool:
@@ -369,31 +363,45 @@ def _matsubara_per_area(cavity: CavityReflection, L: float, state: ThermalState)
 # --- public operations ------------------------------------------------------
 
 
-def _area_flags(config: CavityConfig) -> tuple[str, ...]:
-    return () if config.plane_limit_ok else (FLAG_PLANE_LIMIT,)
+def _per_area(mirrors: CavityReflection, L: float, temperature: float):
+    """(E/A, F/A, relative error, flags) of a plane-plane cavity.
 
-
-def _plane_result_zero_t(config: CavityConfig) -> ForceResult:
-    flags = _area_flags(config)
-    if config.mirrors.both_perfect:
-        return ForceResult(
-            force=ideal_force(config.L, config.A),
-            energy=ideal_energy(config.L, config.A),
-            eta_E=1.0,
-            eta_F=1.0,
-            numerical_error=0.0,
-            flags=flags,
+    The one place that picks the path: the closed forms for a perfect pair
+    at T = 0, the (u, phi) quadrature for any other pair at T = 0, and the
+    Matsubara sum at T > 0.  Raises ConvergenceError when the error
+    estimate exceeds the ceiling.
+    """
+    flags: tuple[str, ...] = ()
+    if temperature == 0.0 and mirrors.both_perfect:
+        return ideal_energy_per_area(L), ideal_force_per_area(L), 0.0, flags
+    if temperature == 0.0:
+        e_per_area, f_per_area, rel_err = _zero_temperature_per_area(mirrors, L)
+    else:
+        e_per_area, f_per_area, rel_err, contributing = _matsubara_per_area(
+            mirrors, L, ThermalState(temperature)
         )
-    e_per_area, f_per_area, rel_err = _zero_temperature_per_area(config.mirrors, config.L)
+        if contributing < _FEW_TERMS_WARN:
+            flags = (FLAG_FEW_MATSUBARA,)
     if rel_err > _ERROR_CEILING:
         raise ConvergenceError(f"error estimate {rel_err:.2e} above ceiling {_ERROR_CEILING:.0e}")
+    return e_per_area, f_per_area, rel_err, flags
+
+
+def _plane_result(config: CavityConfig) -> ForceResult:
+    """ForceResult of a cavity at its temperature; eta_T is set for T > 0."""
+    e_per_area, f_per_area, rel_err, flags = _per_area(config.mirrors, config.L, config.temperature)
+    eta_t = None
+    if config.temperature > 0.0:
+        f0_per_area = _per_area(config.mirrors, config.L, 0.0)[1]
+        eta_t = config.A * f_per_area / (config.A * f0_per_area)
     return ForceResult(
         force=config.A * f_per_area,
         energy=config.A * e_per_area,
         eta_E=e_per_area / ideal_energy_per_area(config.L),
         eta_F=f_per_area / ideal_force_per_area(config.L),
         numerical_error=rel_err,
-        flags=flags,
+        flags=(() if config.plane_limit_ok else (FLAG_PLANE_LIMIT,)) + flags,
+        eta_T=eta_t,
     )
 
 
@@ -406,43 +414,14 @@ def real_mirror_energy(config: CavityConfig) -> ForceResult:
     """
     if config.temperature != 0.0:
         raise DomainError("real_mirror_energy requires temperature == 0; use thermal_force")
-    return _plane_result_zero_t(config)
+    return _plane_result(config)
 
 
 def real_mirror_force(config: CavityConfig) -> ForceResult:
     """Zero-temperature force (and energy); see ``real_mirror_energy``."""
     if config.temperature != 0.0:
         raise DomainError("real_mirror_force requires temperature == 0; use thermal_force")
-    return _plane_result_zero_t(config)
-
-
-def _thermal_result(config: CavityConfig, zero_t: ForceResult | None = None) -> ForceResult:
-    """Matsubara result with eta_T; ``zero_t`` is the T = 0 result of the
-    same cavity when the caller already has it."""
-    if config.temperature == 0.0:
-        return _plane_result_zero_t(config)
-
-    e_per_area, f_per_area, rel_err, contributing = _matsubara_per_area(
-        config.mirrors, config.L, config.thermal_state
-    )
-    if rel_err > _ERROR_CEILING:
-        raise ConvergenceError(f"error estimate {rel_err:.2e} above ceiling {_ERROR_CEILING:.0e}")
-
-    flags = _area_flags(config)
-    if contributing < _FEW_TERMS_WARN:
-        flags = flags + (FLAG_FEW_MATSUBARA,)
-
-    if zero_t is None:
-        zero_t = _plane_result_zero_t(dataclasses.replace(config, temperature=0.0))
-    return ForceResult(
-        force=config.A * f_per_area,
-        energy=config.A * e_per_area,
-        eta_E=e_per_area / ideal_energy_per_area(config.L),
-        eta_F=f_per_area / ideal_force_per_area(config.L),
-        numerical_error=rel_err,
-        flags=flags,
-        eta_T=config.A * f_per_area / zero_t.force,
-    )
+    return _plane_result(config)
 
 
 def thermal_force(config: CavityConfig) -> ForceResult:
@@ -452,14 +431,14 @@ def thermal_force(config: CavityConfig) -> ForceResult:
     eta_T = F(T)/F(0) and warns when fewer than 10 Matsubara terms
     contribute (large-T or large-L regime).
     """
-    return _thermal_result(config)
+    return _plane_result(config)
 
 
 def thermal_energy(config: CavityConfig) -> ForceResult:
     """Finite-temperature free energy (and force); same record as
     ``thermal_force``, provided for callers whose primary output is the
     energy correction factor."""
-    return _thermal_result(config)
+    return _plane_result(config)
 
 
 # --- correction-factor sweep -------------------------------------------------
@@ -492,7 +471,6 @@ def eta_sweep(
     points: int,
     mirror: Mirror,
     temperature: float,
-    A: float = 1.0,
 ) -> EtaSweepResult:
     """Sweep the energy correction factors over log-spaced distances.
 
@@ -508,33 +486,33 @@ def eta_sweep(
         raise DomainError(f"need L_min < L_max, got [{L_min!r}, {L_max!r}]")
     if isinstance(points, bool) or not (isinstance(points, numbers.Integral) and points >= 2):
         raise DomainError(f"points must be an integer >= 2, got {points!r}")
+    temperature = _check_positive("temperature", temperature, allow_zero=True)
 
-    perfect = PerfectMirror()
-    is_perfect = isinstance(mirror, PerfectMirror)
+    real = CavityReflection(mirror, mirror)
+    perfect = CavityReflection(PerfectMirror(), PerfectMirror())
     lengths = np.geomspace(L_min, L_max, points)
-    eta_plasma = np.ones(points)
-    eta_thermal = np.ones(points)
-    eta_full = np.ones(points)
+    eta_plasma = np.empty(points)
+    eta_thermal = np.empty(points)
+    eta_full = np.empty(points)
     worst_error = 0.0
+
+    def eta(mirrors, L, T):
+        nonlocal worst_error
+        e_per_area, _, rel_err, _ = _per_area(mirrors, L, T)
+        worst_error = max(worst_error, rel_err)
+        return e_per_area / ideal_energy_per_area(L)
 
     for i, L in enumerate(lengths):
         L = float(L)
-        if not is_perfect:
-            plasma = _plane_result_zero_t(CavityConfig.symmetric(L, A, 0.0, mirror))
-            eta_plasma[i] = plasma.eta_E
-            worst_error = max(worst_error, plasma.numerical_error)
-        if temperature > 0.0:
-            thermal = _thermal_result(CavityConfig.symmetric(L, A, temperature, perfect))
-            eta_thermal[i] = thermal.eta_E
-            worst_error = max(worst_error, thermal.numerical_error)
-        if is_perfect:
+        eta_plasma[i] = eta(real, L, 0.0)
+        eta_thermal[i] = eta(perfect, L, temperature)
+        # a perfect pair or T = 0 leaves one effect: eta_full repeats the other
+        if real.both_perfect:
             eta_full[i] = eta_thermal[i]
         elif temperature == 0.0:
             eta_full[i] = eta_plasma[i]
         else:
-            full = _thermal_result(CavityConfig.symmetric(L, A, temperature, mirror), zero_t=plasma)
-            eta_full[i] = full.eta_E
-            worst_error = max(worst_error, full.numerical_error)
+            eta_full[i] = eta(real, L, temperature)
 
     return EtaSweepResult(
         lengths=lengths,
@@ -556,26 +534,11 @@ def sphere_plane_force(config: SpherePlaneConfig) -> SpherePlaneResult:
     plane-plane eta_E at that distance.  The 2 pi R prefactor is the
     standard Derjaguin coefficient of the mapping.
     """
-    flags: tuple[str, ...] = () if config.proximity_ok else (FLAG_PROXIMITY,)
-
-    if config.temperature == 0.0 and config.mirrors.both_perfect:
-        e_per_area = ideal_energy_per_area(config.L)
-        rel_err = 0.0
-    elif config.temperature == 0.0:
-        e_per_area, _, rel_err = _zero_temperature_per_area(config.mirrors, config.L)
-    else:
-        e_per_area, _, rel_err, contributing = _matsubara_per_area(
-            config.mirrors, config.L, ThermalState(config.temperature)
-        )
-        if contributing < _FEW_TERMS_WARN:
-            flags = flags + (FLAG_FEW_MATSUBARA,)
-    if rel_err > _ERROR_CEILING:
-        raise ConvergenceError(f"error estimate {rel_err:.2e} above ceiling {_ERROR_CEILING:.0e}")
-
+    e_per_area, _, rel_err, flags = _per_area(config.mirrors, config.L, config.temperature)
     return SpherePlaneResult(
         force=2.0 * math.pi * config.R * e_per_area,
         eta=e_per_area / ideal_energy_per_area(config.L),
         plane_energy_per_area=e_per_area,
         numerical_error=rel_err,
-        flags=flags,
+        flags=(() if config.proximity_ok else (FLAG_PROXIMITY,)) + flags,
     )

@@ -7,8 +7,11 @@ and the engine works in SI throughout.
 
 Output is machine readable.  CSV uses a header row, one "%.8e" value per
 cell (9 significant digits, "." decimal separator) and newline-terminated
-rows.  JSON emits one object {inputs, outputs, flags, numerical_error,
-version} with sorted keys.  Identical flags (and seed, where applicable)
+rows.  Each subcommand builds one ordered dict of outputs: the CSV
+header is its keys (plus numerical_error for force and psphere), and the
+rows are its values, one row per element when the values are lists.
+JSON emits one object {inputs, outputs, flags, numerical_error, version}
+with sorted keys.  Identical flags (and seed, where applicable)
 give byte-identical output.
 
 Materials are selected as "perfect", "plasma:<wavelength in nm>", or a
@@ -27,6 +30,8 @@ import json
 import sys
 from typing import Iterable
 
+import numpy as np
+
 from . import __version__
 from .casimir import (
     CavityConfig,
@@ -38,7 +43,14 @@ from .casimir import (
     thermal_force,
 )
 from .errors import ConvergenceError, DomainError
-from .mirrors import CavityReflection, Mirror, PerfectMirror, PlasmaMirror, material_table
+from .mirrors import (
+    CavityReflection,
+    Mirror,
+    PerfectMirror,
+    PlasmaMirror,
+    material_table,
+    preset_mirror,
+)
 from .motional import (
     Trajectory,
     motional_force_time_domain,
@@ -82,42 +94,42 @@ def resolve_material(text: str) -> Mirror:
             raise DomainError(f"bad plasma wavelength in {text!r}") from exc
         return PlasmaMirror.from_wavelength(nm * 1e-9)
     table = material_table()
-    if text in table:
-        return PlasmaMirror.from_wavelength(table[text] * 1e-9)
-    raise DomainError(
-        f"unknown material {text!r}; use 'perfect', 'plasma:<nm>' or one of {sorted(table)}"
-    )
+    if text not in table:
+        raise DomainError(
+            f"unknown material {text!r}; use 'perfect', 'plasma:<nm>' or one of {sorted(table)}"
+        )
+    return preset_mirror(text, table)
 
 
-def _write(stream, text: str) -> None:
+def _emit(stream, fmt: str, inputs: dict, outputs: dict, flags: Iterable[str] = (),
+          numerical_error: float = 0.0, error_column: bool = False) -> None:
+    """Write one result as JSON or CSV.
+
+    The CSV header is the output names, with a numerical_error column when
+    ``error_column`` is set.  Its rows are the output values: one row, or
+    one row per element when the outputs are lists.
+    """
+    if fmt == "json":
+        record = {
+            "inputs": inputs,
+            "outputs": outputs,
+            "flags": sorted(flags),
+            "numerical_error": numerical_error,
+            "version": __version__,
+        }
+        text = json.dumps(record, sort_keys=True) + "\n"
+    else:
+        header = list(outputs)
+        columns = [v if isinstance(v, list) else [v] for v in outputs.values()]
+        if error_column:
+            header.append("numerical_error")
+            columns.append([numerical_error] * len(columns[0]))
+        lines = [",".join(header)]
+        for row in zip(*columns):
+            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        text = "\n".join(lines) + "\n"
     stream.write(text)
     stream.flush()
-
-
-def _emit_json(stream, inputs: dict, outputs: dict, flags: Iterable[str], numerical_error: float) -> None:
-    record = {
-        "inputs": inputs,
-        "outputs": outputs,
-        "flags": sorted(flags),
-        "numerical_error": numerical_error,
-        "version": __version__,
-    }
-    _write(stream, json.dumps(record, sort_keys=True) + "\n")
-
-
-def _emit_csv(stream, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    _write(stream, "\n".join(lines) + "\n")
-
-
-def _emit(stream, fmt: str, inputs: dict, header: list[str], rows: list[list], outputs: dict,
-          flags: Iterable[str] = (), numerical_error: float = 0.0) -> None:
-    if fmt == "json":
-        _emit_json(stream, inputs, outputs, flags, numerical_error)
-    else:
-        _emit_csv(stream, header, rows)
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -126,15 +138,11 @@ def _emit(stream, fmt: str, inputs: dict, header: list[str], rows: list[list], o
 def _cmd_ideal(args, stream) -> int:
     L = args.length_um * _UM
     A = args.area_cm2 * _CM2
-    force = ideal_force(L, A)
-    energy = ideal_energy(L, A)
     _emit(
         stream,
         args.format,
         inputs={"length_um": args.length_um, "area_cm2": args.area_cm2},
-        header=["force_N", "energy_J"],
-        rows=[[force, energy]],
-        outputs={"force_N": force, "energy_J": energy},
+        outputs={"force_N": ideal_force(L, A), "energy_J": ideal_energy(L, A)},
     )
     return 0
 
@@ -145,14 +153,6 @@ def _cmd_force(args, stream) -> int:
         args.length_um * _UM, args.area_cm2 * _CM2, args.temperature_K, mirror
     )
     result = thermal_force(config)
-    eta_t = 1.0 if result.eta_T is None else result.eta_T
-    outputs = {
-        "force_N": result.force,
-        "energy_J": result.energy,
-        "eta_E": result.eta_E,
-        "eta_F": result.eta_F,
-        "eta_T": eta_t,
-    }
     _emit(
         stream,
         args.format,
@@ -162,11 +162,16 @@ def _cmd_force(args, stream) -> int:
             "temperature_K": args.temperature_K,
             "material": args.material,
         },
-        header=["force_N", "energy_J", "eta_E", "eta_F", "eta_T", "numerical_error"],
-        rows=[[result.force, result.energy, result.eta_E, result.eta_F, eta_t, result.numerical_error]],
-        outputs=outputs,
+        outputs={
+            "force_N": result.force,
+            "energy_J": result.energy,
+            "eta_E": result.eta_E,
+            "eta_F": result.eta_F,
+            "eta_T": 1.0 if result.eta_T is None else result.eta_T,
+        },
         flags=result.flags,
         numerical_error=result.numerical_error,
+        error_column=True,
     )
     return 0
 
@@ -176,10 +181,6 @@ def _cmd_eta(args, stream) -> int:
     sweep = eta_sweep(
         args.lmin_um * _UM, args.lmax_um * _UM, args.points, mirror, args.temperature_K
     )
-    rows = [
-        [L / _UM, ep, et, ef, eprod]
-        for L, ep, et, ef, eprod in sweep.rows()
-    ]
     _emit(
         stream,
         args.format,
@@ -190,14 +191,12 @@ def _cmd_eta(args, stream) -> int:
             "material": args.material,
             "temperature_K": args.temperature_K,
         },
-        header=["L_um", "eta_plasma", "eta_thermal", "eta_full", "eta_product"],
-        rows=rows,
         outputs={
-            "L_um": [r[0] for r in rows],
-            "eta_plasma": [r[1] for r in rows],
-            "eta_thermal": [r[2] for r in rows],
-            "eta_full": [r[3] for r in rows],
-            "eta_product": [r[4] for r in rows],
+            "L_um": (sweep.lengths / _UM).tolist(),
+            "eta_plasma": sweep.eta_plasma.tolist(),
+            "eta_thermal": sweep.eta_thermal.tolist(),
+            "eta_full": sweep.eta_full.tolist(),
+            "eta_product": sweep.eta_product.tolist(),
         },
         numerical_error=sweep.numerical_error,
     )
@@ -222,8 +221,6 @@ def _cmd_psphere(args, stream) -> int:
             "temperature_K": args.temperature_K,
             "material": args.material,
         },
-        header=["force_N", "eta_E", "plane_energy_per_area_J_m2", "numerical_error"],
-        rows=[[result.force, result.eta, result.plane_energy_per_area, result.numerical_error]],
         outputs={
             "force_N": result.force,
             "eta_E": result.eta,
@@ -231,6 +228,7 @@ def _cmd_psphere(args, stream) -> int:
         },
         flags=result.flags,
         numerical_error=result.numerical_error,
+        error_column=True,
     )
     return 0
 
@@ -240,19 +238,8 @@ def _cmd_motional(args, stream) -> int:
     state = ThermalState(args.temperature_K)
     vacuum = motional_force_time_domain(traj, args.area_m2)
     thermal = thermal_friction_force(traj, args.area_m2, state)
-    times = traj.times
-    rows = []
-    for i in range(traj.n_samples):
-        ok = bool(vacuum.valid[i])
-        rows.append(
-            [
-                float(times[i]),
-                float(traj.positions[i]),
-                float(vacuum.force[i]) if ok else 0.0,
-                float(thermal.force[i]) if ok else 0.0,
-                int(ok),
-            ]
-        )
+    # the stencil end samples are reported as 0 with valid = 0
+    valid = vacuum.valid
     _emit(
         stream,
         args.format,
@@ -263,14 +250,12 @@ def _cmd_motional(args, stream) -> int:
             "samples": traj.n_samples,
             "dt_s": traj.dt,
         },
-        header=["t_s", "q_m", "force_vacuum_N", "force_thermal_N", "valid"],
-        rows=rows,
         outputs={
-            "t_s": [r[0] for r in rows],
-            "q_m": [r[1] for r in rows],
-            "force_vacuum_N": [r[2] for r in rows],
-            "force_thermal_N": [r[3] for r in rows],
-            "valid": [r[4] for r in rows],
+            "t_s": traj.times.tolist(),
+            "q_m": traj.positions.tolist(),
+            "force_vacuum_N": np.where(valid, vacuum.force, 0.0).tolist(),
+            "force_thermal_N": np.where(valid, thermal.force, 0.0).tolist(),
+            "valid": valid.astype(int).tolist(),
         },
     )
     return 0
@@ -283,17 +268,14 @@ def _cmd_chi(args, stream) -> int:
     flags = tuple(f"vacuum:{w}" for w in validity_vac.warnings()) + tuple(
         f"thermal:{w}" for w in validity_th.warnings()
     )
-    outputs = {
-        "chi_vacuum_im_N_per_m": chi_vac.value.imag,
-        "chi_thermal_im_N_per_m": chi_th.value.imag,
-    }
     _emit(
         stream,
         args.format,
         inputs={"omega_rad_s": args.omega, "area_m2": args.area_m2, "temperature_K": args.temperature_K},
-        header=["chi_vacuum_im_N_per_m", "chi_thermal_im_N_per_m"],
-        rows=[[chi_vac.value.imag, chi_th.value.imag]],
-        outputs=outputs,
+        outputs={
+            "chi_vacuum_im_N_per_m": chi_vac.value.imag,
+            "chi_thermal_im_N_per_m": chi_th.value.imag,
+        },
         flags=flags,
     )
     return 0
@@ -304,55 +286,34 @@ def _cmd_noise(args, stream) -> int:
         mean_photon_number_a=args.na, port_b=make_squeezed(1.0, args.squeeze)
     )
     mc = monte_carlo_difference(setup, args.trials, args.seed)
-    flags = () if setup.linearized_ok else ("mean_photon_number_below_linear_regime",)
-    outputs = {
-        "fano_analytic": fano_factor(setup),
-        "difference_variance_analytic": difference_variance(setup),
-        "fano_empirical": mc.fano,
-        "mean_empirical": mc.mean,
-        "variance_empirical": mc.variance,
-    }
     _emit(
         stream,
         args.format,
         inputs={"na": args.na, "squeeze": args.squeeze, "trials": args.trials, "seed": args.seed},
-        header=[
-            "fano_analytic",
-            "difference_variance_analytic",
-            "fano_empirical",
-            "mean_empirical",
-            "variance_empirical",
-        ],
-        rows=[[outputs[k] for k in (
-            "fano_analytic",
-            "difference_variance_analytic",
-            "fano_empirical",
-            "mean_empirical",
-            "variance_empirical",
-        )]],
-        outputs=outputs,
-        flags=flags,
+        outputs={
+            "fano_analytic": fano_factor(setup),
+            "difference_variance_analytic": difference_variance(setup),
+            "fano_empirical": mc.fano,
+            "mean_empirical": mc.mean,
+            "variance_empirical": mc.variance,
+        },
+        flags=() if setup.linearized_ok else ("mean_photon_number_below_linear_regime",),
     )
     return 0
 
 
 def _cmd_planck(args, stream) -> int:
     state = ThermalState(args.temperature_K)
-    outputs = {
-        "mean_photon_number": mean_photon_number(args.omega, state),
-        "energy_first_law_J": mode_energy_first_law(args.omega, state),
-        "energy_second_law_J": mode_energy_second_law(args.omega, state),
-        "thermal_weight": thermal_weight(args.omega, state),
-    }
     _emit(
         stream,
         args.format,
         inputs={"omega_rad_s": args.omega, "temperature_K": args.temperature_K},
-        header=["mean_photon_number", "energy_first_law_J", "energy_second_law_J", "thermal_weight"],
-        rows=[[outputs[k] for k in (
-            "mean_photon_number", "energy_first_law_J", "energy_second_law_J", "thermal_weight"
-        )]],
-        outputs=outputs,
+        outputs={
+            "mean_photon_number": mean_photon_number(args.omega, state),
+            "energy_first_law_J": mode_energy_first_law(args.omega, state),
+            "energy_second_law_J": mode_energy_second_law(args.omega, state),
+            "thermal_weight": thermal_weight(args.omega, state),
+        },
     )
     return 0
 
@@ -360,22 +321,16 @@ def _cmd_planck(args, stream) -> int:
 def _cmd_density(args, stream) -> int:
     state = ThermalState(args.temperature_K)
     density = energy_density(args.omega_max, state)
-    blackbody = blackbody_energy_density(state)
-    outputs = {
-        "vacuum_J_per_m3": density.vacuum,
-        "thermal_J_per_m3": density.thermal,
-        "total_J_per_m3": density.total,
-        "blackbody_J_per_m3": blackbody,
-    }
     _emit(
         stream,
         args.format,
         inputs={"omega_max_rad_s": args.omega_max, "temperature_K": args.temperature_K},
-        header=["vacuum_J_per_m3", "thermal_J_per_m3", "total_J_per_m3", "blackbody_J_per_m3"],
-        rows=[[outputs[k] for k in (
-            "vacuum_J_per_m3", "thermal_J_per_m3", "total_J_per_m3", "blackbody_J_per_m3"
-        )]],
-        outputs=outputs,
+        outputs={
+            "vacuum_J_per_m3": density.vacuum,
+            "thermal_J_per_m3": density.thermal,
+            "total_J_per_m3": density.total,
+            "blackbody_J_per_m3": blackbody_energy_density(state),
+        },
     )
     return 0
 

@@ -1,4 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the scalar input checks
+that raise them."""
+
+import math
+import numbers
 
 
 class DomainError(ValueError):
@@ -15,3 +19,15 @@ class SingularResonanceError(DomainError):
 
 class ConvergenceError(RuntimeError):
     """A quadrature or summation failed to reach the requested accuracy."""
+
+
+def _check_positive(name: str, value, *, allow_zero: bool = False) -> float:
+    """value as a float, if it is a finite real number > 0, or >= 0 with
+    ``allow_zero``; bools are refused, numpy real scalars accepted."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Real)
+        and math.isfinite(value)
+        and (value > 0.0 or (allow_zero and value == 0.0))
+    ):
+        raise DomainError(f"{name} must be finite and {'>=' if allow_zero else '>'} 0, got {value!r}")
+    return float(value)

@@ -4,10 +4,11 @@ Two mirror variants are provided: the perfect reflector and the lossless
 plasma model with dielectric function eps(i xi) = 1 + omega_p^2 / xi^2 on
 the imaginary frequency axis.  All Casimir computations for real mirrors
 run on the imaginary axis, where the amplitudes are real, bounded by one
-in magnitude (unitarity) and transparent at high frequency.  Real-axis
-amplitudes exist only for perfect mirrors; below the plasma frequency a
-plasma mirror totally reflects and the real-axis spectral integrand is
-not an ordinary function, so that path is deliberately not implemented.
+in magnitude (unitarity) and transparent at high frequency.  There are no
+real-axis amplitudes: below the plasma frequency a plasma mirror totally
+reflects and the real-axis spectral integrand is not an ordinary
+function.  ``airy_factor`` evaluates the real-axis redistribution factor
+for a loop amplitude supplied by the caller.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .constants import C
-from .errors import DomainError, SingularResonanceError
+from .errors import DomainError, SingularResonanceError, _check_positive
 
 
 class Polarization(Enum):
@@ -29,53 +30,6 @@ class Polarization(Enum):
 
     TE = "TE"
     TM = "TM"
-
-
-POLARIZATIONS = (Polarization.TE, Polarization.TM)
-
-
-@dataclass(frozen=True)
-class ModeCoordinate:
-    """One field mode: either real frequency omega with an incidence angle
-    (propagating sector) or imaginary frequency xi with transverse
-    wavevector k.  Exactly one of omega/xi is set."""
-
-    kappa: float  # longitudinal wavevector [1/m]
-    k: float  # transverse wavevector [1/m]
-    omega: float | None = None
-    xi: float | None = None
-    incidence_angle: float | None = None
-
-    def __post_init__(self):
-        if (self.omega is None) == (self.xi is None):
-            raise DomainError("exactly one of omega (real axis) or xi (imaginary axis) must be set")
-
-    @property
-    def is_real_axis(self) -> bool:
-        return self.omega is not None
-
-    @classmethod
-    def real_axis(cls, omega: float, incidence_angle: float) -> "ModeCoordinate":
-        """kappa = (omega/c) cos(angle), k = (omega/c) sin(angle)."""
-        if not (math.isfinite(omega) and omega > 0.0):
-            raise DomainError(f"omega must be finite and > 0, got {omega!r}")
-        if not (0.0 <= incidence_angle <= 0.5 * math.pi):
-            raise DomainError(f"incidence angle must lie in [0, pi/2], got {incidence_angle!r}")
-        return cls(
-            kappa=(omega / C) * math.cos(incidence_angle),
-            k=(omega / C) * math.sin(incidence_angle),
-            omega=omega,
-            incidence_angle=incidence_angle,
-        )
-
-    @classmethod
-    def imaginary_axis(cls, xi: float, k: float) -> "ModeCoordinate":
-        """kappa = sqrt(xi^2/c^2 + k^2)."""
-        if not (math.isfinite(xi) and xi > 0.0):
-            raise DomainError(f"xi must be finite and > 0, got {xi!r}")
-        if not (math.isfinite(k) and k >= 0.0):
-            raise DomainError(f"k must be finite and >= 0, got {k!r}")
-        return cls(kappa=math.hypot(xi / C, k), k=k, xi=xi)
 
 
 def _shaped(value: float, *arrays):
@@ -101,9 +55,6 @@ class PerfectMirror:
     def amplitude_static(self, k, pol: Polarization):
         return _shaped(-1.0 if pol is Polarization.TE else 1.0, k)
 
-    def amplitude_real(self, mode: ModeCoordinate, pol: Polarization) -> float:
-        return -1.0 if pol is Polarization.TE else 1.0
-
 
 @dataclass(frozen=True)
 class PlasmaMirror:
@@ -117,9 +68,9 @@ class PlasmaMirror:
     plasma_frequency: float  # rad/s
 
     def __post_init__(self):
-        wp = self.plasma_frequency
-        if not (isinstance(wp, (int, float)) and math.isfinite(wp) and wp > 0.0):
-            raise DomainError(f"plasma frequency must be finite and > 0, got {wp!r}")
+        object.__setattr__(
+            self, "plasma_frequency", _check_positive("plasma frequency", self.plasma_frequency)
+        )
 
     @property
     def plasma_wavelength(self) -> float:
@@ -128,8 +79,7 @@ class PlasmaMirror:
 
     @classmethod
     def from_wavelength(cls, plasma_wavelength: float) -> "PlasmaMirror":
-        if not (math.isfinite(plasma_wavelength) and plasma_wavelength > 0.0):
-            raise DomainError(f"plasma wavelength must be finite and > 0, got {plasma_wavelength!r}")
+        plasma_wavelength = _check_positive("plasma wavelength", plasma_wavelength)
         return cls(plasma_frequency=2.0 * math.pi * C / plasma_wavelength)
 
     def amplitude_imaginary(self, xi, k, pol: Polarization):
@@ -155,13 +105,6 @@ class PlasmaMirror:
         km = np.sqrt(k * k + (self.plasma_frequency / C) ** 2)
         r = (k - km) / (k + km)
         return float(r) if r.ndim == 0 else r
-
-    def amplitude_real(self, mode: ModeCoordinate, pol: Polarization) -> float:
-        raise NotImplementedError(
-            "real-axis plasma amplitudes are not implemented (total reflection below "
-            "the plasma frequency makes the real-axis integrand distributional); "
-            "use the imaginary-axis path"
-        )
 
 
 Mirror = Union[PerfectMirror, PlasmaMirror]
@@ -223,20 +166,6 @@ def airy_factor(r_p: complex, kappa_L: float) -> float:
             )
         return num / denom
     return num / denom
-
-
-def airy_function(cavity: CavityReflection, mode: ModeCoordinate, L: float, pol: Polarization) -> float:
-    """Airy factor of a cavity for a real-axis mode at plate distance L.
-
-    Only mirrors with real-axis amplitudes (perfect mirrors) are accepted;
-    for diagnostics with a user-supplied loop amplitude use ``airy_factor``.
-    """
-    if not mode.is_real_axis:
-        raise DomainError("airy_function needs a real-axis mode")
-    if not (math.isfinite(L) and L > 0.0):
-        raise DomainError(f"L must be finite and > 0, got {L!r}")
-    r_p = cavity.mirror1.amplitude_real(mode, pol) * cavity.mirror2.amplitude_real(mode, pol)
-    return airy_factor(r_p, mode.kappa * L)
 
 
 # --- material presets ------------------------------------------------------

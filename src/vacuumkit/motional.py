@@ -30,7 +30,7 @@ import numpy as np
 
 from .casimir import ideal_energy, ideal_force
 from .constants import C, HBAR
-from .errors import DomainError
+from .errors import DomainError, _check_positive
 from .planck import ThermalState
 
 _VACUUM_COEF = HBAR / (60.0 * math.pi**2 * C**4)
@@ -103,8 +103,7 @@ class Trajectory:
             )
         if not np.all(np.isfinite(q)):
             raise DomainError("trajectory samples must be finite")
-        if not (isinstance(self.dt, (int, float)) and math.isfinite(self.dt) and self.dt > 0.0):
-            raise DomainError(f"dt must be finite and > 0, got {self.dt!r}")
+        object.__setattr__(self, "dt", _check_positive("dt", self.dt))
         q = q.copy()
         q.setflags(write=False)
         object.__setattr__(self, "positions", q)
@@ -188,17 +187,11 @@ def casimir_inertia_mass(L: float, A: float) -> float:
     return (ideal_energy(L, A) - ideal_force(L, A) * L) / C**2
 
 
-def _check_motional_inputs(Omega: float, A: float) -> None:
-    if not (isinstance(Omega, (int, float)) and math.isfinite(Omega) and Omega > 0.0):
-        raise DomainError(f"Omega must be finite and > 0, got {Omega!r}")
-    if not (isinstance(A, (int, float)) and math.isfinite(A) and A > 0.0):
-        raise DomainError(f"A must be finite and > 0, got {A!r}")
-
-
 def thermal_susceptibility(Omega: float, A: float, state: ThermalState):
     """chi = i hbar A theta^4 Omega / (240 pi^2 c^4); linear in Omega,
     vanishing at T = 0.  Returns (Susceptibility, MotionalValidity)."""
-    _check_motional_inputs(Omega, A)
+    Omega = _check_positive("Omega", Omega)
+    A = _check_positive("A", A)
     theta = state.temperature_frequency
     chi = 1j * (_THERMAL_COEF * A * _pow4(theta) * Omega)
     validity = MotionalValidity(
@@ -212,7 +205,8 @@ def vacuum_susceptibility(Omega: float, A: float):
     """chi = i hbar A Omega^5 / (60 pi^2 c^4); the T = 0 reaction of the
     vacuum, fifth power of the motion frequency.  Returns
     (Susceptibility, MotionalValidity)."""
-    _check_motional_inputs(Omega, A)
+    Omega = _check_positive("Omega", Omega)
+    A = _check_positive("A", A)
     chi = 1j * (_VACUUM_COEF * A * _pow5(Omega))
     validity = MotionalValidity(
         area_ok=A > _MUCH_GREATER * (C / Omega) ** 2,
@@ -242,8 +236,7 @@ def _stencil_derivative(traj: Trajectory, weights: np.ndarray, order: int):
 def motional_force_time_domain(traj: Trajectory, A: float) -> TrajectoryForce:
     """Vacuum reaction force -(hbar A / 60 pi^2 c^4) q''''' on the interior
     samples; annihilates polynomials of degree <= 4."""
-    if not (math.isfinite(A) and A > 0.0):
-        raise DomainError(f"A must be finite and > 0, got {A!r}")
+    A = _check_positive("A", A)
     q5, valid = _stencil_derivative(traj, FIFTH_DERIVATIVE_STENCIL, 5)
     return TrajectoryForce(force=-(_VACUUM_COEF * A) * q5, valid=valid)
 
@@ -251,8 +244,7 @@ def motional_force_time_domain(traj: Trajectory, A: float) -> TrajectoryForce:
 def thermal_friction_force(traj: Trajectory, A: float, state: ThermalState) -> TrajectoryForce:
     """Thermal-field force +(hbar A / 240 pi^2 c^4) theta^4 q' on the
     interior samples; zero for any trajectory at T = 0."""
-    if not (math.isfinite(A) and A > 0.0):
-        raise DomainError(f"A must be finite and > 0, got {A!r}")
+    A = _check_positive("A", A)
     q1, valid = _stencil_derivative(traj, FIRST_DERIVATIVE_STENCIL, 1)
     theta = state.temperature_frequency
     return TrajectoryForce(force=(_THERMAL_COEF * A * _pow4(theta)) * q1, valid=valid)

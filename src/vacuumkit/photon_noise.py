@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_positive
 
 # linearization is trusted above this mean photon number
 _LINEAR_REGIME_MIN = 100.0
@@ -46,12 +46,10 @@ class QuadratureState:
     vacuum_scale: float = 1.0
 
     def __post_init__(self):
-        e0 = self.vacuum_scale
-        if not (isinstance(e0, (int, float)) and math.isfinite(e0) and e0 > 0.0):
-            raise DomainError(f"vacuum scale must be finite and > 0, got {e0!r}")
-        for name, v in (("var1", self.var1), ("var2", self.var2)):
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
-                raise DomainError(f"{name} must be finite and > 0, got {v!r}")
+        e0 = _check_positive("vacuum scale", self.vacuum_scale)
+        object.__setattr__(self, "vacuum_scale", e0)
+        object.__setattr__(self, "var1", _check_positive("var1", self.var1))
+        object.__setattr__(self, "var2", _check_positive("var2", self.var2))
         if not (math.isfinite(self.mean1) and math.isfinite(self.mean2)):
             raise DomainError("quadrature means must be finite")
         bound = e0**4 * (1.0 - _HEISENBERG_TOL)
@@ -73,8 +71,7 @@ def make_squeezed(vacuum_scale: float, squeeze_factor: float) -> QuadratureState
     s < 1 squeezes the first quadrature below the vacuum level; s = 1 is
     the vacuum.
     """
-    if not (math.isfinite(squeeze_factor) and squeeze_factor > 0.0):
-        raise DomainError(f"squeeze factor must be finite and > 0, got {squeeze_factor!r}")
+    squeeze_factor = _check_positive("squeeze factor", squeeze_factor)
     e2 = vacuum_scale * vacuum_scale
     return QuadratureState(
         var1=squeeze_factor * e2, var2=e2 / squeeze_factor, vacuum_scale=vacuum_scale
@@ -90,9 +87,11 @@ class BeamSplitterSetup:
     port_b: QuadratureState
 
     def __post_init__(self):
-        na = self.mean_photon_number_a
-        if not (isinstance(na, (int, float)) and math.isfinite(na) and na > 0.0):
-            raise DomainError(f"mean photon number must be finite and > 0, got {na!r}")
+        object.__setattr__(
+            self,
+            "mean_photon_number_a",
+            _check_positive("mean photon number", self.mean_photon_number_a),
+        )
 
     @property
     def linearized_ok(self) -> bool:

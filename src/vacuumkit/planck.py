@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C, HBAR, K_B
-from .errors import DomainError
+from .errors import _check_positive
 from .quadrature import adaptive_gauss_legendre
 
 _TWO_PI = 2.0 * math.pi
@@ -38,9 +38,9 @@ class ThermalState:
     temperature: float  # K
 
     def __post_init__(self):
-        t = self.temperature
-        if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= 0.0):
-            raise DomainError(f"temperature must be finite and >= 0, got {t!r}")
+        object.__setattr__(
+            self, "temperature", _check_positive("temperature", self.temperature, allow_zero=True)
+        )
 
     @property
     def temperature_frequency(self) -> float:
@@ -50,19 +50,13 @@ class ThermalState:
     @classmethod
     def from_frequency(cls, theta: float) -> "ThermalState":
         """Build the state whose temperature frequency equals ``theta``."""
-        if not (math.isfinite(theta) and theta >= 0.0):
-            raise DomainError(f"temperature frequency must be finite and >= 0, got {theta!r}")
+        theta = _check_positive("temperature frequency", theta, allow_zero=True)
         return cls(temperature=theta / _THETA_PER_KELVIN)
-
-
-def _check_omega(omega: float) -> None:
-    if not (isinstance(omega, (int, float)) and math.isfinite(omega) and omega > 0.0):
-        raise DomainError(f"omega must be finite and > 0, got {omega!r}")
 
 
 def mean_photon_number(omega: float, state: ThermalState) -> float:
     """Bose occupation 1/(exp(hbar omega / k_B T) - 1); 0 at T = 0."""
-    _check_omega(omega)
+    omega = _check_positive("omega", omega)
     if state.temperature == 0.0:
         return 0.0
     # k_B * T can underflow for tiny T; dividing twice keeps x finite or inf
@@ -112,8 +106,7 @@ def energy_density(omega_max: float, state: ThermalState) -> EnergyDensity:
     blackbody (Stefan-Boltzmann) energy density; ``blackbody_energy_density``
     below is the independent check quantifying exactly that ratio.
     """
-    if not (isinstance(omega_max, (int, float)) and math.isfinite(omega_max) and omega_max >= 0.0):
-        raise DomainError(f"omega_max must be finite and >= 0, got {omega_max!r}")
+    omega_max = _check_positive("omega_max", omega_max, allow_zero=True)
     w2 = omega_max * omega_max
     vacuum = HBAR * (w2 * w2) / _VACUUM_DENSITY_DENOM
     theta = state.temperature_frequency

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from vacuumkit import (
+    BeamSplitterSetup,
     CavityConfig,
     CavityReflection,
     ConvergenceError,
@@ -16,16 +17,26 @@ from vacuumkit import (
     PerfectMirror,
     PlasmaMirror,
     Polarization,
+    QuadratureState,
     SpherePlaneConfig,
+    ThermalState,
+    Trajectory,
+    energy_density,
     eta_sweep,
     ideal_energy,
     ideal_energy_per_area,
     ideal_force,
+    make_squeezed,
+    mean_photon_number,
+    motional_force_time_domain,
     real_mirror_energy,
     real_mirror_force,
     sphere_plane_force,
     thermal_energy,
     thermal_force,
+    thermal_friction_force,
+    thermal_susceptibility,
+    vacuum_susceptibility,
 )
 from vacuumkit import casimir
 from vacuumkit.casimir import FLAG_FEW_MATSUBARA, FLAG_PLANE_LIMIT, FLAG_PROXIMITY
@@ -45,6 +56,44 @@ ETA_E_THERMAL_1UM_300K = 1.02666989
 
 def cavity(L, T, mirror, A=A_CM2):
     return CavityConfig.symmetric(L, A, T, mirror)
+
+
+WARM = ThermalState(300.0)
+STILL = Trajectory(np.zeros(11), 1e-3)
+
+# every scalar input behind the shared finite-and-positive check, as a call
+# of the value under test, with a valid value and the field that stores it
+SCALAR_INPUTS = [
+    ("ideal_force L", lambda v: ideal_force(v, 1.0), 1e-6, None),
+    ("CavityConfig temperature", lambda v: cavity(1e-6, v, PERFECT), 300.0, "temperature"),
+    ("SpherePlaneConfig temperature",
+     lambda v: SpherePlaneConfig(R=1e-4, L=1e-6, temperature=v, mirrors=CavityReflection(PERFECT, PERFECT)),
+     300.0, "temperature"),
+    ("ThermalState", ThermalState, 300.0, "temperature"),
+    ("ThermalState.from_frequency", ThermalState.from_frequency, 1e13, None),
+    ("omega", lambda v: mean_photon_number(v, WARM), 1e13, None),
+    ("omega_max", lambda v: energy_density(v, WARM), 1e15, None),
+    ("Trajectory dt", lambda v: Trajectory(np.zeros(11), v), 1e-3, "dt"),
+    ("vacuum Omega", lambda v: vacuum_susceptibility(v, 1.0), 1e9, None),
+    ("thermal A", lambda v: thermal_susceptibility(1e9, v, WARM), 1.0, None),
+    ("motional A", lambda v: motional_force_time_domain(STILL, v), 1.0, None),
+    ("friction A", lambda v: thermal_friction_force(STILL, v, WARM), 1.0, None),
+    ("QuadratureState var1", lambda v: QuadratureState(var1=v, var2=1.0), 1.0, "var1"),
+    ("squeeze factor", lambda v: make_squeezed(1.0, v), 0.5, None),
+    ("mean photon number", lambda v: BeamSplitterSetup(v, QuadratureState.vacuum()), 1e6,
+     "mean_photon_number_a"),
+    ("plasma frequency", PlasmaMirror, 1e16, "plasma_frequency"),
+    ("plasma wavelength", PlasmaMirror.from_wavelength, 136e-9, None),
+    ("eta_sweep temperature", lambda v: eta_sweep(1e-6, 2e-6, 2, PERFECT, v), 0.0, None),
+]
+
+
+def raises_domain_error(call, value):
+    try:
+        call(value)
+    except DomainError:
+        return True
+    return False
 
 
 def lambert_perfect_per_area(L, T):
@@ -143,11 +192,17 @@ class TestIdealClosedForms:
     def test_bool_rejected(self):
         with pytest.raises(DomainError):
             ideal_force(True, 1.0)
+        accepted = [name for name, call, _, _ in SCALAR_INPUTS if not raises_domain_error(call, True)]
+        assert accepted == []
 
     def test_numpy_real_scalar_accepted(self):
         L = np.float32(1e-6)
         assert ideal_force(L, A_CM2) == ideal_force(float(L), A_CM2)
         assert type(cavity(L, 0.0, GOLD).L) is float
+        for name, call, valid, field in SCALAR_INPUTS:
+            result = call(np.float32(valid))
+            if field is not None:
+                assert type(getattr(result, field)) is float, name
 
     @pytest.mark.parametrize("L,A", [(0.0, 1.0), (-1e-6, 1.0), (1e-6, 0.0), (math.nan, 1.0)])
     def test_domain_errors(self, L, A):
@@ -413,6 +468,16 @@ class TestEtaSweep:
             eta_sweep(1e-6, 1e-7, 5, GOLD, 300.0)
         with pytest.raises(DomainError):
             eta_sweep(1e-7, 1e-6, 1, GOLD, 300.0)
+
+    @pytest.mark.parametrize("mirror", [PERFECT, GOLD], ids=["perfect", "gold"])
+    @pytest.mark.parametrize("temperature", [-5.0, math.nan])
+    def test_bad_temperature_raises_before_any_quadrature(self, monkeypatch, mirror, temperature):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("a quadrature ran before the temperature check")
+
+        monkeypatch.setattr(casimir, "adaptive_gauss_legendre", no_quadrature)
+        with pytest.raises(DomainError, match="temperature"):
+            eta_sweep(1e-7, 1e-6, 3, mirror, temperature)
 
     def test_fractional_points_rejected(self):
         with pytest.raises(DomainError):

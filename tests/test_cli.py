@@ -159,6 +159,8 @@ class TestValues:
 class TestExitCodes:
     def test_domain_error_is_two(self, capsys):
         assert main(["force", "--length-um", "-1", "--area-cm2", "1"]) == 2
+        assert main(["eta", "--lmin-um", "1", "--lmax-um", "2", "--material", "perfect",
+                     "--temperature-K", "-5"]) == 2
         capsys.readouterr()
 
     def test_unknown_material_is_two(self, capsys):
@@ -176,6 +178,159 @@ class TestExitCodes:
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestGoldenOutput:
+    """Byte-exact CLI output for results with no quadrature behind them."""
+
+    CASES = {
+        "ideal": ["ideal", "--length-um", "1", "--area-cm2", "1"],
+        "planck": ["planck", "--omega", "1e13", "--temperature-K", "300"],
+        "density": ["density", "--omega-max", "1e15", "--temperature-K", "0"],
+        "chi": ["chi", "--omega", "1e9", "--area-m2", "1e-4", "--temperature-K", "300"],
+        "noise": ["noise", "--na", "1e6", "--squeeze", "0.5", "--trials", "2000", "--seed", "42"],
+        "motional": ["motional", "--trajectory-file", "traj.txt", "--area-m2", "1e-4",
+                     "--temperature-K", "300"],
+        "force": ["force", "--length-um", "1", "--area-cm2", "1"],
+        "psphere": ["psphere", "--radius-um", "100", "--length-um", "1"],
+        "eta": ["eta", "--lmin-um", "0.5", "--lmax-um", "5", "--points", "3",
+                "--material", "perfect", "--temperature-K", "0"],
+    }
+
+    GOLDEN = {
+        ("ideal", "csv"): (
+            "force_N,energy_J\n"
+            "1.30012577e-07,4.33375257e-14\n"
+        ),
+        ("ideal", "json"): (
+            '{"flags": [], "inputs": {"area_cm2": 1.0, "length_um": 1.0}, "numerical_error": '
+            '0.0, "outputs": {"energy_J": 4.3337525748258454e-14, "force_N": '
+            '1.3001257724477536e-07}, "version": "0.1.0"}'
+            "\n"
+        ),
+        ("planck", "csv"): (
+            "mean_photon_number,energy_first_law_J,energy_second_law_J,thermal_weight\n"
+            "3.44880460e+00,3.63701213e-21,4.16429804e-21,7.89760920e+00\n"
+        ),
+        ("planck", "json"): (
+            '{"flags": [], "inputs": {"omega_rad_s": 10000000000000.0, "temperature_K": '
+            '300.0}, "numerical_error": 0.0, "outputs": {"energy_first_law_J": '
+            '3.637012134216635e-21, "energy_second_law_J": 4.164298042716635e-21, '
+            '"mean_photon_number": 3.4488046006795905, "thermal_weight": 7.897609201359181}, '
+            '"version": "0.1.0"}'
+            "\n"
+        ),
+        ("density", "csv"): (
+            "vacuum_J_per_m3,thermal_J_per_m3,total_J_per_m3,blackbody_J_per_m3\n"
+            "4.95706164e-02,0.00000000e+00,4.95706164e-02,0.00000000e+00\n"
+        ),
+        ("density", "json"): (
+            '{"flags": [], "inputs": {"omega_max_rad_s": 1000000000000000.0, "temperature_K": '
+            '0.0}, "numerical_error": 0.0, "outputs": {"blackbody_J_per_m3": 0.0, '
+            '"thermal_J_per_m3": 0.0, "total_J_per_m3": 0.04957061643957529, '
+            '"vacuum_J_per_m3": 0.04957061643957529}, "version": "0.1.0"}'
+            "\n"
+        ),
+        ("chi", "csv"): (
+            "chi_vacuum_im_N_per_m,chi_thermal_im_N_per_m\n"
+            "2.20466371e-30,2.04416215e-09\n"
+        ),
+        ("chi", "json"): (
+            '{"flags": ["thermal:A_not_much_larger_than_c2_over_Omega2", '
+            '"vacuum:A_not_much_larger_than_c2_over_Omega2"], "inputs": {"area_m2": 0.0001, '
+            '"omega_rad_s": 1000000000.0, "temperature_K": 300.0}, "numerical_error": 0.0, '
+            '"outputs": {"chi_thermal_im_N_per_m": 2.0441621463310734e-09, '
+            '"chi_vacuum_im_N_per_m": 2.2046637094775434e-30}, "version": "0.1.0"}'
+            "\n"
+        ),
+        ("noise", "csv"): (
+            "fano_analytic,difference_variance_analytic,fano_empirical,mean_empirical,variance_empirical\n"
+            "5.00000000e-01,5.00000000e+05,5.02054722e-01,-3.89862991e+01,5.02054722e+05\n"
+        ),
+        ("noise", "json"): (
+            '{"flags": [], "inputs": {"na": 1000000.0, "seed": 42, "squeeze": 0.5, "trials": '
+            '2000}, "numerical_error": 0.0, "outputs": {"difference_variance_analytic": '
+            '500000.0, "fano_analytic": 0.5, "fano_empirical": 0.5020547217992427, '
+            '"mean_empirical": -38.98629905666597, "variance_empirical": 502054.72179924266}, '
+            '"version": "0.1.0"}'
+            "\n"
+        ),
+        ("motional", "csv"): (
+            "t_s,q_m,force_vacuum_N,force_thermal_N,valid\n"
+            "0.00000000e+00,0.00000000e+00,0.00000000e+00,0.00000000e+00,0\n"
+            "1.00000000e-03,-2.00000000e-09,0.00000000e+00,0.00000000e+00,0\n"
+            "2.00000000e-03,2.00000000e-08,0.00000000e+00,0.00000000e+00,0\n"
+            "3.00000000e-03,2.16000000e-07,0.00000000e+00,0.00000000e+00,0\n"
+            "4.00000000e-03,9.76000000e-07,0.00000000e+00,0.00000000e+00,0\n"
+            "5.00000000e-03,3.05000000e-06,-2.64559645e-67,6.32668184e-21,1\n"
+            "6.00000000e-03,7.66800000e-06,-2.64559645e-67,1.31725809e-20,1\n"
+            "7.00000000e-03,1.66600000e-05,0.00000000e+00,0.00000000e+00,0\n"
+            "8.00000000e-03,3.25760000e-05,0.00000000e+00,0.00000000e+00,0\n"
+            "9.00000000e-03,5.88060000e-05,0.00000000e+00,0.00000000e+00,0\n"
+            "1.00000000e-02,9.97000000e-05,0.00000000e+00,0.00000000e+00,0\n"
+            "1.10000000e-02,1.60688000e-04,0.00000000e+00,0.00000000e+00,0\n"
+        ),
+        ("motional", "json"): (
+            '{"flags": [], "inputs": {"area_m2": 0.0001, "dt_s": 0.001, "samples": 12, '
+            '"temperature_K": 300.0, "trajectory_file": "traj.txt"}, "numerical_error": 0.0, '
+            '"outputs": {"force_thermal_N": [0.0, 0.0, 0.0, 0.0, 0.0, 6.326681842894673e-21, '
+            '1.3172580870957436e-20, 0.0, 0.0, 0.0, 0.0, 0.0], "force_vacuum_N": [0.0, 0.0, '
+            '0.0, 0.0, 0.0, -2.6455964513726156e-67, -2.6455964513733252e-67, 0.0, 0.0, 0.0, '
+            '0.0, 0.0], "q_m": [0.0, -1.9999999999999997e-09, 2e-08, 2.16e-07, 9.76e-07, '
+            '3.05e-06, 7.668e-06, 1.666e-05, 3.2576e-05, 5.8806000000000006e-05, '
+            '9.970000000000001e-05, 0.000160688], "t_s": [0.0, 0.001, 0.002, 0.003, 0.004, '
+            '0.005, 0.006, 0.007, 0.008, 0.009000000000000001, 0.01, 0.011], "valid": [0, 0, '
+            '0, 0, 0, 1, 1, 0, 0, 0, 0, 0]}, "version": "0.1.0"}'
+            "\n"
+        ),
+        ("force", "csv"): (
+            "force_N,energy_J,eta_E,eta_F,eta_T,numerical_error\n"
+            "1.30012577e-07,4.33375257e-14,1.00000000e+00,1.00000000e+00,1.00000000e+00,0.00000000e+00\n"
+        ),
+        ("force", "json"): (
+            '{"flags": [], "inputs": {"area_cm2": 1.0, "length_um": 1.0, "material": '
+            '"perfect", "temperature_K": 0.0}, "numerical_error": 0.0, "outputs": '
+            '{"energy_J": 4.3337525748258454e-14, "eta_E": 1.0, "eta_F": 1.0, "eta_T": 1.0, '
+            '"force_N": 1.3001257724477536e-07}, "version": "0.1.0"}'
+            "\n"
+        ),
+        ("psphere", "csv"): (
+            "force_N,eta_E,plane_energy_per_area_J_m2,numerical_error\n"
+            "2.72297705e-13,1.00000000e+00,4.33375257e-10,0.00000000e+00\n"
+        ),
+        ("psphere", "json"): (
+            '{"flags": ["R_not_much_larger_than_L"], "inputs": {"length_um": 1.0, "material": '
+            '"perfect", "radius_um": 100.0, "temperature_K": 0.0}, "numerical_error": 0.0, '
+            '"outputs": {"eta_E": 1.0, "force_N": 2.722977050309745e-13, '
+            '"plane_energy_per_area_J_m2": 4.333752574825845e-10}, "version": "0.1.0"}'
+            "\n"
+        ),
+        ("eta", "csv"): (
+            "L_um,eta_plasma,eta_thermal,eta_full,eta_product\n"
+            "5.00000000e-01,1.00000000e+00,1.00000000e+00,1.00000000e+00,1.00000000e+00\n"
+            "1.58113883e+00,1.00000000e+00,1.00000000e+00,1.00000000e+00,1.00000000e+00\n"
+            "5.00000000e+00,1.00000000e+00,1.00000000e+00,1.00000000e+00,1.00000000e+00\n"
+        ),
+        ("eta", "json"): (
+            '{"flags": [], "inputs": {"lmax_um": 5.0, "lmin_um": 0.5, "material": "perfect", '
+            '"points": 3, "temperature_K": 0.0}, "numerical_error": 0.0, "outputs": {"L_um": '
+            '[0.5, 1.5811388300841895, 5.0], "eta_full": [1.0, 1.0, 1.0], "eta_plasma": [1.0, '
+            '1.0, 1.0], "eta_product": [1.0, 1.0, 1.0], "eta_thermal": [1.0, 1.0, 1.0]}, '
+            '"version": "0.1.0"}'
+            "\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_bytes(self, capsys, tmp_path, monkeypatch, name, fmt):
+        # the trajectory path is part of the JSON inputs, so it is relative
+        monkeypatch.chdir(tmp_path)
+        k = np.arange(12.0)
+        np.savetxt("traj.txt", np.column_stack([1e-3 * k, 1e-9 * k**5 - 3e-9 * k**2]))
+        code, out = run(capsys, self.CASES[name] + ["--format", fmt])
+        assert code == 0
+        assert out == self.GOLDEN[(name, fmt)]
 
 
 def _run_subprocess(argv, extra_env=None):

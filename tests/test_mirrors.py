@@ -9,46 +9,20 @@ from hypothesis import given, settings, strategies as st
 from vacuumkit import (
     CavityReflection,
     DomainError,
-    ModeCoordinate,
     PerfectMirror,
     PlasmaMirror,
     Polarization,
     SingularResonanceError,
     airy_factor,
-    airy_function,
     load_material_file,
     material_table,
     preset_mirror,
     reflection_amplitude_imaginary,
 )
-from vacuumkit.constants import C
 from vacuumkit.mirrors import MATERIALS_ENV_VAR
 
 TE, TM = Polarization.TE, Polarization.TM
 GOLD = PlasmaMirror.from_wavelength(136e-9)
-
-
-class TestModeCoordinate:
-    def test_real_axis_relations(self):
-        mode = ModeCoordinate.real_axis(omega=3e15, incidence_angle=0.3)
-        assert mode.kappa == pytest.approx((3e15 / C) * math.cos(0.3), rel=1e-15)
-        assert mode.k == pytest.approx((3e15 / C) * math.sin(0.3), rel=1e-15)
-        assert mode.is_real_axis
-
-    def test_imaginary_axis_relation(self):
-        mode = ModeCoordinate.imaginary_axis(xi=2e14, k=5e6)
-        assert mode.kappa == pytest.approx(math.hypot(2e14 / C, 5e6), rel=1e-15)
-        assert not mode.is_real_axis
-
-    def test_exactly_one_axis(self):
-        with pytest.raises(DomainError):
-            ModeCoordinate(kappa=1.0, k=0.0)
-        with pytest.raises(DomainError):
-            ModeCoordinate(kappa=1.0, k=0.0, omega=1.0, xi=1.0)
-
-    def test_angle_range(self):
-        with pytest.raises(DomainError):
-            ModeCoordinate.real_axis(omega=1e15, incidence_angle=2.0)
 
 
 class TestPerfectMirror:
@@ -56,7 +30,6 @@ class TestPerfectMirror:
         m = PerfectMirror()
         assert m.amplitude_imaginary(1e15, 0.0, TE) == -1.0
         assert m.amplitude_imaginary(1e15, 3e6, TM) == 1.0
-        assert abs(m.amplitude_real(ModeCoordinate.real_axis(1e15, 0.1), TE)) == 1.0
 
 
 class TestPlasmaAmplitudes:
@@ -112,11 +85,6 @@ class TestPlasmaAmplitudes:
     def test_domain_error_on_negative_k(self):
         with pytest.raises(DomainError):
             reflection_amplitude_imaginary(GOLD, 1e14, -1.0, TE)
-
-    def test_real_axis_not_implemented(self):
-        mode = ModeCoordinate.real_axis(1e15, 0.0)
-        with pytest.raises(NotImplementedError):
-            GOLD.amplitude_real(mode, TE)
 
 
 @settings(max_examples=300, derandomize=True)
@@ -178,28 +146,6 @@ def test_airy_bounds_property(mag, phase, kappa_l):
     r = mag * complex(math.cos(phase), math.sin(phase))
     g = airy_factor(r, kappa_l)
     assert 0.0 <= g <= (1 + mag) / (1 - mag) + 1e-12
-
-
-class TestAiryFunction:
-    def test_perfect_cavity_off_resonance(self):
-        cavity = CavityReflection(PerfectMirror(), PerfectMirror())
-        mode = ModeCoordinate.real_axis(omega=1e15, incidence_angle=0.4)
-        # unit loop amplitude off resonance: fully dark inside
-        L = 1.1e-6
-        assert (mode.kappa * L) % math.pi != 0.0
-        assert airy_function(cavity, mode, L, TE) == 0.0
-
-    def test_plasma_cavity_rejected_on_real_axis(self):
-        cavity = CavityReflection(GOLD, GOLD)
-        mode = ModeCoordinate.real_axis(omega=1e15, incidence_angle=0.0)
-        with pytest.raises(NotImplementedError):
-            airy_function(cavity, mode, 1e-6, TE)
-
-    def test_imaginary_axis_mode_rejected(self):
-        cavity = CavityReflection(PerfectMirror(), PerfectMirror())
-        mode = ModeCoordinate.imaginary_axis(xi=1e14, k=0.0)
-        with pytest.raises(DomainError):
-            airy_function(cavity, mode, 1e-6, TE)
 
 
 class TestCavityReflection:
