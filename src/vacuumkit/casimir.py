@@ -33,15 +33,20 @@ where u_n = 2 xi_n L / c.  The T = 0 operations recover the closed forms
 for perfect mirrors to machine precision and the Matsubara sum reduces to
 them continuously as T -> 0.
 
-The T = 0 double quadrature is batched: each evaluation of the phi
-integrand at m nodes runs one vector-valued u-quadrature on the (u, phi)
-grid, with 2m columns (energy and force at every node), each held to the
-inner tolerance on its own.  Before that quadrature every column is
-divided by a power of two taken from one 32-point pass over the u range,
-so that columns many decades below the largest one still get refined;
-value and error are multiplied back exactly.  The u-integrals are cut at
-u = 80, and Matsubara terms whose u_n lies past that cut are dropped by
-the same bound.
+Every u-integral runs through one batched routine, ``_u_quadrature``: a
+vector-valued quadrature over u in [0, 80], one column per integral, each
+column held to the inner tolerance on its own after an exact power-of-two
+scaling.  At T = 0 each evaluation of the phi integrand at m nodes runs it
+once with 2m columns.  The Matsubara sum runs n = 0 alone and n >= 1 in
+blocks of 128 terms, two columns per term, on u = u_n + s, s in [0, 80].
+
+Terms fall monotonically in n for every supported pair (r_TE depends on
+kappa = u/2L only, r_TM falls with xi, and the lower limit u_n rises) and
+vanish past n_max = floor(80/du), where the u-cut drops them.  After term
+N the rest of the sum is therefore at most (n_max - N)|term_N|.  The sum
+stops at the first N where that bound is at most 1e-10 of the total for
+energy and force, reports it as the tail error, and raises
+ConvergenceError past 1,000,000 terms.
 
 ``_per_area(mirrors, L, T)`` is the single dispatch point: it picks the
 closed form, the T = 0 quadrature or the Matsubara sum, flags a sum with
@@ -70,14 +75,22 @@ from .quadrature import _gauss_legendre_rule, adaptive_gauss_legendre
 # exp(-u) beyond this u is below 1.8e-35; irrelevant against the 1e-9 targets
 _U_SPAN = 80.0
 
+# one 32-point pass over [0, U_SPAN] sets the scale of every column
+_PROBE_X, _PROBE_W = _gauss_legendre_rule(32)
+_PROBE_U = 0.5 * _U_SPAN * (_PROBE_X + 1.0)
+_PROBE_W = 0.5 * _U_SPAN * _PROBE_W
+
 # inner tolerance is kept a decade and a half below the outer one so the
 # outer refinement never chases inner quadrature noise
 _OUTER_REL_TOL = 3e-9
 _INNER_REL_TOL = 1e-10
 
 _MATSUBARA_TERM_REL = 1e-10
-_MATSUBARA_MIN_TERMS = 20
-_MATSUBARA_MAX_TERMS = 200_000
+_MATSUBARA_MAX_TERMS = 1_000_000
+# terms per Matsubara block; larger blocks make numpy temporaries that the
+# allocator returns to the system after every use, and the page faults cost
+# more than the larger batch saves
+_BLOCK_TERMS = 128
 _FEW_TERMS_WARN = 10
 
 # reported relative error must stay below this, else ConvergenceError
@@ -200,34 +213,60 @@ class SpherePlaneResult:
 # --- spectral kernels -------------------------------------------------------
 
 
-def _kernels(r_te, r_tm, u):
-    """Polarization-summed energy and force kernels at exp(-u)."""
+def _kernels(amplitude, u):
+    """Polarization-summed energy and force kernels at exp(-u) of the loop
+    amplitude ``amplitude(pol)``."""
     emu = np.exp(-u)
-    x_te = r_te * emu
-    x_tm = r_tm * emu
+    x_te = amplitude(Polarization.TE) * emu
+    x_tm = amplitude(Polarization.TM) * emu
     g_e = -(np.log1p(-x_te) + np.log1p(-x_tm))
     g_f = x_te / (1.0 - x_te) + x_tm / (1.0 - x_tm)
     return g_e, g_f
 
 
+def _relative(error, value) -> float:
+    """Largest error / |value| over components; a zero value counts as 1."""
+    scale = np.abs(value)
+    scale[scale == 0.0] = 1.0
+    return float(np.max(error / scale))
+
+
+def _u_quadrature(f, names, context: str):
+    """(value, absolute error) of every column of f over u in [0, U_SPAN].
+
+    f maps nodes of shape (q,) to values of shape (q, 2c): c energy
+    columns, then the c force columns.  Each column meets the inner
+    tolerance on its own: it is divided by a power of two near its
+    integral of |f| before the quadrature and multiplied back after,
+    exactly, so that panel selection by absolute error does not starve
+    columns many decades smaller than the largest one.  A ConvergenceError
+    names the failing column pairs by ``names(mask)`` and adds ``context``.
+    """
+    _, exponent = np.frexp(_PROBE_W @ np.abs(f(_PROBE_U)))
+    col_scale = np.ldexp(1.0, exponent)
+
+    res = adaptive_gauss_legendre(lambda u: f(u) / col_scale, 0.0, _U_SPAN, rel_tol=_INNER_REL_TOL)
+    value = res.value * col_scale
+    error = res.error * col_scale
+    if not res.converged:
+        failing = (error > _INNER_REL_TOL * np.abs(value)).reshape(2, -1).any(axis=0)
+        raise ConvergenceError(
+            f"inner u-quadrature did not converge at {names(failing if failing.any() else ~failing)} "
+            f"({context}, error estimate {float(np.max(error))})"
+        )
+    return value, error
+
+
 def _zero_temperature_per_area(cavity: CavityReflection, L: float):
     """(E/A, F/A, relative error) at T = 0 by the (u, phi) double quadrature.
 
-    Each call of the phi-integrand runs one vector-valued u-quadrature over
-    the (u, phi) grid of its m nodes: columns j and m + j are the energy and
-    force integrals at phi_j, and each column meets the inner tolerance on
-    its own.  Columns are divided by a power of two near their integral of
-    |f| before the quadrature (and multiplied back after, exactly), so that
-    panel selection by absolute error does not starve columns many decades
-    smaller than the largest one.
+    Each call of the phi-integrand at m nodes runs one batched
+    u-quadrature: columns j and m + j are the energy and force integrals
+    at phi_j.
     """
     worst_inner = [0.0]
-    x_probe, w_probe = _gauss_legendre_rule(32)
-    u_probe = 0.5 * _U_SPAN * (x_probe + 1.0)
-    w_probe = 0.5 * _U_SPAN * w_probe
 
     def outer_integrand(phis):
-        m = phis.size
         cos_phi = np.cos(phis)
         sin_phi = np.sin(phis)
 
@@ -235,34 +274,15 @@ def _zero_temperature_per_area(cavity: CavityReflection, L: float):
             uc = u[:, None]
             xi = (0.5 * C / L) * cos_phi * uc
             k = (0.5 / L) * sin_phi * uc
-            g_e, g_f = _kernels(
-                cavity.amplitude_imaginary(xi, k, Polarization.TE),
-                cavity.amplitude_imaginary(xi, k, Polarization.TM),
-                uc,
-            )
+            g_e, g_f = _kernels(lambda pol: cavity.amplitude_imaginary(xi, k, pol), uc)
             u2 = uc * uc
             return np.concatenate([u2 * g_e, u2 * uc * g_f], axis=1)
 
-        # one 32-point pass over [0, U_SPAN] sets each column's scale
-        _, exponent = np.frexp(w_probe @ np.abs(inner(u_probe)))
-        col_scale = np.ldexp(1.0, exponent)
-
-        res = adaptive_gauss_legendre(
-            lambda u: inner(u) / col_scale, 0.0, _U_SPAN, rel_tol=_INNER_REL_TOL
+        value, error = _u_quadrature(
+            inner, lambda bad: "phi=" + ", ".join(f"{p:.6f}" for p in phis[bad]), f"L={L:.3e} m"
         )
-        value = res.value * col_scale
-        error = res.error * col_scale
-        if not res.converged:
-            failing = (error > _INNER_REL_TOL * np.abs(value)).reshape(2, m).any(axis=0)
-            bad = phis[failing] if failing.any() else phis
-            raise ConvergenceError(
-                f"inner u-quadrature did not converge at phi={', '.join(f'{p:.6f}' for p in bad)} "
-                f"(L={L:.3e} m, error estimate {float(np.max(error))})"
-            )
-        scale = np.abs(value)
-        scale[scale == 0.0] = 1.0
-        worst_inner[0] = max(worst_inner[0], float(np.max(error / scale)))
-        return sin_phi[:, None] * value.reshape(2, m).T
+        worst_inner[0] = max(worst_inner[0], _relative(error, value))
+        return sin_phi[:, None] * value.reshape(2, phis.size).T
 
     outer = adaptive_gauss_legendre(outer_integrand, 0.0, 0.5 * math.pi, rel_tol=_OUTER_REL_TOL)
     if not outer.converged:
@@ -272,92 +292,65 @@ def _zero_temperature_per_area(cavity: CavityReflection, L: float):
 
     j_e, j_f = outer.value
     prefactor = HBAR * C / (32.0 * math.pi**2)
-    e_per_area = prefactor * j_e / L**3
-    f_per_area = prefactor * j_f / L**4
-
-    scale = np.abs(outer.value)
-    scale[scale == 0.0] = 1.0
-    rel_err = float(np.max(outer.error / scale)) + worst_inner[0]
-    return e_per_area, f_per_area, rel_err
+    rel_err = _relative(outer.error, outer.value) + worst_inner[0]
+    return prefactor * j_e / L**3, prefactor * j_f / L**4, rel_err
 
 
-def _matsubara_per_area(cavity: CavityReflection, L: float, state: ThermalState):
-    """(E/A, F/A, relative error, contributing terms) of the Matsubara sum."""
-    theta = state.temperature_frequency
+def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
+    """(E/A, F/A, relative error, contributing terms) of the Matsubara sum.
+
+    The relative error adds the quadrature errors of the summed terms and
+    the tail bound.  Contributing terms are counted over n = 0 and the
+    first block; as terms fall with n, the count is exact below its size.
+    """
+    theta = ThermalState(temperature).temperature_frequency
     du = 2.0 * theta * L / C  # spacing of u_n = 2 xi_n L / c
+    # later terms start past the u-cut; a float, as it may exceed any integer type
+    n_max = _U_SPAN // du if du > 0.0 else math.inf
+    context = f"L={L:.3e} m, T={temperature} K"
 
-    totals = np.zeros(2)
-    quad_err = np.zeros(2)
-    term_mags: list[float] = []
+    def static_term(u):
+        g_e, g_f = _kernels(lambda pol: cavity.amplitude_static((0.5 / L) * u, pol), u)
+        return np.stack([u * g_e, u * u * g_f], axis=-1)
 
-    n = 0
-    while True:
-        u_n = n * du
+    value, error = _u_quadrature(static_term, lambda bad: "n=0", context)
+    totals, quad_err, tail = 0.5 * value, 0.5 * error, np.zeros(2)
+    mags = np.max(np.abs(totals), keepdims=True)
 
-        def integrand(u, n=n, u_n=u_n):
-            if n == 0:
-                k = (0.5 / L) * u
-                r_te = cavity.amplitude_static(k, Polarization.TE)
-                r_tm = cavity.amplitude_static(k, Polarization.TM)
-            else:
-                xi = n * theta
-                k = (0.5 / L) * np.sqrt(np.maximum(u * u - u_n * u_n, 0.0))
-                r_te = cavity.amplitude_imaginary(xi, k, Polarization.TE)
-                r_tm = cavity.amplitude_imaginary(xi, k, Polarization.TM)
-            g_e, g_f = _kernels(r_te, r_tm, u)
-            return np.stack([u * g_e, u * u * g_f], axis=-1)
-
-        res = adaptive_gauss_legendre(integrand, u_n, u_n + _U_SPAN, rel_tol=_INNER_REL_TOL)
-        if not res.converged:
-            raise ConvergenceError(
-                f"Matsubara term n={n} did not converge (L={L:.3e} m, T={state.temperature} K)"
-            )
-        weight = 0.5 if n == 0 else 1.0
-        term = weight * res.value
-        totals += term
-        quad_err += weight * res.error
-        term_mags.append(float(np.max(np.abs(term))))
-
-        total_scale = float(np.max(np.abs(totals)))
-        if n + 1 >= _MATSUBARA_MIN_TERMS and total_scale > 0.0:
-            last_rel = term_mags[-1] / total_scale
-            if last_rel < _MATSUBARA_TERM_REL:
-                # geometric bound on the dropped tail; the decay rate is at
-                # least exp(-du) per index, estimated from the last two terms
-                ratio = math.exp(-du)
-                if term_mags[-2] > 0.0:
-                    ratio = max(ratio, term_mags[-1] / term_mags[-2])
-                ratio = min(ratio, 0.999)
-                tail_rel = last_rel * ratio / (1.0 - ratio)
-                if tail_rel < _MATSUBARA_TERM_REL:
-                    break
-        if n + 1 >= _MATSUBARA_MIN_TERMS and total_scale == 0.0:
-            tail_rel = 0.0
+    for n_lo in range(1, _MATSUBARA_MAX_TERMS + 1, _BLOCK_TERMS):
+        if n_lo > n_max:
             break
-        if (n + 1) * du > _U_SPAN:
-            # every later term starts past the cut that bounds each u-integral
-            # (the minimum term count does not apply to them); forcing them
-            # would integrate exp(-u) down into the subnormal range
-            tail_rel = 0.0
+        n = np.arange(n_lo, n_lo + _BLOCK_TERMS)
+        n = n[n <= n_max]
+        u_n, xi = n * du, n * theta
+
+        def block(s):
+            sc = s[:, None]
+            u = u_n + sc
+            k = (0.5 / L) * np.sqrt(sc * (sc + 2.0 * u_n))
+            g_e, g_f = _kernels(lambda pol: cavity.amplitude_imaginary(xi, k, pol), u)
+            return np.concatenate([u * g_e, u * u * g_f], axis=1)
+
+        value, error = _u_quadrature(block, lambda bad: "n=" + ", ".join(map(str, n[bad])), context)
+        terms = value.reshape(2, -1)
+        running = np.cumsum(np.concatenate([totals[:, None], terms], axis=1), axis=1)[:, 1:]
+        bound = (n_max - n) * np.abs(terms)
+        stop = np.flatnonzero(np.all(bound <= _MATSUBARA_TERM_REL * np.abs(running), axis=0))
+        last = stop[0] if stop.size else n.size - 1
+        totals = running[:, last]
+        quad_err = quad_err + error.reshape(2, -1)[:, : last + 1].sum(axis=1)
+        if n_lo == 1:
+            mags = np.concatenate([mags, np.max(np.abs(terms[:, : last + 1]), axis=0)])
+        if stop.size:
+            tail = bound[:, last]
             break
-        n += 1
-        if n > _MATSUBARA_MAX_TERMS:
-            raise ConvergenceError(
-                f"Matsubara sum exceeded {_MATSUBARA_MAX_TERMS} terms "
-                f"(L={L:.3e} m, T={state.temperature} K)"
-            )
+    else:
+        raise ConvergenceError(f"Matsubara sum exceeded {_MATSUBARA_MAX_TERMS} terms ({context})")
 
-    contributing = sum(
-        1 for m in term_mags if m >= _MATSUBARA_TERM_REL * max(float(np.max(np.abs(totals))), 1e-300)
-    )
-
-    e_per_area = (K_B * state.temperature / (8.0 * math.pi)) * totals[0] / L**2
-    f_per_area = (K_B * state.temperature / (8.0 * math.pi)) * totals[1] / L**3
-
-    scale = np.abs(totals)
-    scale[scale == 0.0] = 1.0
-    rel_err = float(np.max(quad_err / scale)) + tail_rel
-    return e_per_area, f_per_area, rel_err, contributing
+    threshold = _MATSUBARA_TERM_REL * max(float(np.max(np.abs(totals))), 1e-300)
+    prefactor = K_B * temperature / (8.0 * math.pi)
+    rel_err = _relative(quad_err + tail, totals)
+    return prefactor * totals[0] / L**2, prefactor * totals[1] / L**3, rel_err, int(np.sum(mags >= threshold))
 
 
 # --- public operations ------------------------------------------------------
@@ -377,9 +370,7 @@ def _per_area(mirrors: CavityReflection, L: float, temperature: float):
     if temperature == 0.0:
         e_per_area, f_per_area, rel_err = _zero_temperature_per_area(mirrors, L)
     else:
-        e_per_area, f_per_area, rel_err, contributing = _matsubara_per_area(
-            mirrors, L, ThermalState(temperature)
-        )
+        e_per_area, f_per_area, rel_err, contributing = _matsubara_per_area(mirrors, L, temperature)
         if contributing < _FEW_TERMS_WARN:
             flags = (FLAG_FEW_MATSUBARA,)
     if rel_err > _ERROR_CEILING:

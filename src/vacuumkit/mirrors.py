@@ -63,6 +63,10 @@ class PlasmaMirror:
     eps(i xi) = 1 + omega_p^2 / xi^2, kappa_m = sqrt(eps xi^2/c^2 + k^2),
     TE: (kappa - kappa_m)/(kappa + kappa_m),
     TM: (eps kappa - kappa_m)/(eps kappa + kappa_m).
+
+    Both numerators are formed without cancellation (a = eps - 1):
+    kappa_m - kappa = (omega_p/c)^2/(kappa + kappa_m),
+    eps kappa - kappa_m = a (eps xi^2/c^2 + (eps+1) k^2)/(eps kappa + kappa_m).
     """
 
     plasma_frequency: float  # rad/s
@@ -91,10 +95,13 @@ class PlasmaMirror:
         kappa = np.sqrt(q2 + k2)
         kappa_m = np.sqrt(q2 + kp2 + k2)
         if pol is Polarization.TE:
-            r = (kappa - kappa_m) / (kappa + kappa_m)
+            d = kp2 / (kappa + kappa_m)
+            r = -d / (d + 2.0 * kappa)
         else:
-            eps_kappa = (1.0 + (self.plasma_frequency / xi) ** 2) * kappa
-            r = (eps_kappa - kappa_m) / (eps_kappa + kappa_m)
+            a = (self.plasma_frequency / xi) ** 2
+            eps = 1.0 + a
+            d = a * (eps * q2 + (eps + 1.0) * k2) / (eps * kappa + kappa_m)
+            r = d / (d + 2.0 * kappa_m)
         return float(r) if r.ndim == 0 else r
 
     def amplitude_static(self, k, pol: Polarization):
@@ -102,8 +109,9 @@ class PlasmaMirror:
         if pol is Polarization.TM:
             return _shaped(1.0, k)
         k = np.asarray(k, dtype=float)
-        km = np.sqrt(k * k + (self.plasma_frequency / C) ** 2)
-        r = (k - km) / (k + km)
+        kp2 = (self.plasma_frequency / C) ** 2
+        d = kp2 / (k + np.sqrt(k * k + kp2))
+        r = -d / (d + 2.0 * k)
         return float(r) if r.ndim == 0 else r
 
 

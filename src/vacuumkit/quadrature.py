@@ -1,6 +1,6 @@
 """Globally adaptive Gauss-Legendre quadrature with embedded error estimates.
 
-Each panel is integrated with an n-point rule and a 2n-point rule.  The
+Each panel is integrated with a 16-point rule and a 32-point rule.  The
 panel error estimate is the larger of the difference between the two and
 the round-off floor 50 eps Int|f| of the finer rule (QUADPACK's resabs
 term, Piessens et al. 1983); it is an upper bound for the finer rule on
@@ -29,6 +29,9 @@ import numpy as np
 # is allowed below 50 eps times the panel integral of |f|
 _ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
 
+# node count of the coarse rule of the embedded (16, 32) pair
+_ORDER = 16
+
 
 @lru_cache(maxsize=None)
 def _gauss_legendre_rule(n: int):
@@ -56,13 +59,13 @@ class QuadratureResult:
         return float(self.value[0])
 
 
-def _evaluate_panel(f: Callable, a: float, b: float, order: int):
-    """Integrate one panel with the embedded (order, 2*order) pair."""
+def _evaluate_panel(f: Callable, a: float, b: float):
+    """Integrate one panel with the embedded (16, 32) pair."""
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
 
-    x_lo, w_lo = _gauss_legendre_rule(order)
-    x_hi, w_hi = _gauss_legendre_rule(2 * order)
+    x_lo, w_lo = _gauss_legendre_rule(_ORDER)
+    x_hi, w_hi = _gauss_legendre_rule(2 * _ORDER)
 
     v_lo = np.atleast_2d(np.asarray(f(mid + half * x_lo), dtype=float).T).T
     v_hi = np.atleast_2d(np.asarray(f(mid + half * x_hi), dtype=float).T).T
@@ -70,7 +73,7 @@ def _evaluate_panel(f: Callable, a: float, b: float, order: int):
     coarse = half * (w_lo @ v_lo)
     fine = half * (w_hi @ v_hi)
     resabs = half * (w_hi @ np.abs(v_hi))
-    return fine, np.maximum(np.abs(fine - coarse), _ROUNDOFF_FLOOR * resabs), 3 * order
+    return fine, np.maximum(np.abs(fine - coarse), _ROUNDOFF_FLOOR * resabs), 3 * _ORDER
 
 
 def adaptive_gauss_legendre(
@@ -79,9 +82,7 @@ def adaptive_gauss_legendre(
     b: float,
     *,
     rel_tol: float = 1e-10,
-    abs_tol: float = 0.0,
     max_panels: int = 512,
-    order: int = 16,
 ) -> QuadratureResult:
     """Integrate ``f`` over [a, b] to the requested tolerance.
 
@@ -93,17 +94,15 @@ def adaptive_gauss_legendre(
         and must all converge.
     a, b : float
         Integration bounds, a < b.
-    rel_tol, abs_tol : float
-        Per-component convergence targets; a component converges when its
-        accumulated error estimate is below max(abs_tol, rel_tol * |value|).
-        The estimate never drops below the round-off floor 50 eps Int|f|,
-        so a tolerance under that floor cannot be met: the call then
-        refines up to ``max_panels`` and returns ``converged=False``.
+    rel_tol : float
+        Per-component convergence target; a component converges when its
+        accumulated error estimate is at most rel_tol * |value|.  The
+        estimate never drops below the round-off floor 50 eps Int|f|, so
+        a tolerance under that floor cannot be met: the call then refines
+        up to ``max_panels`` and returns ``converged=False``.
     max_panels : int
         Hard refinement limit; on hit the result is returned with
         ``converged=False`` and the accumulated estimates.
-    order : int
-        Node count of the coarse rule of the embedded pair.
 
     Returns
     -------
@@ -112,7 +111,7 @@ def adaptive_gauss_legendre(
     if not (np.isfinite(a) and np.isfinite(b) and b > a):
         raise ValueError(f"invalid integration bounds [{a}, {b}]")
 
-    fine, err, n_eval = _evaluate_panel(f, a, b, order)
+    fine, err, n_eval = _evaluate_panel(f, a, b)
     panels = [(a, b, fine, err)]
     heap = [(-float(err.max()), a, 0, 0)]  # (-max err, left edge, counter, index)
     counter = 1
@@ -122,8 +121,7 @@ def adaptive_gauss_legendre(
     total_err = err.copy()
 
     def _done() -> bool:
-        bound = np.maximum(abs_tol, rel_tol * np.abs(total))
-        return bool(np.all(total_err <= bound))
+        return bool(np.all(total_err <= rel_tol * np.abs(total)))
 
     converged = _done()
     while not converged and len(panels) < max_panels:
@@ -131,8 +129,8 @@ def adaptive_gauss_legendre(
         pa, pb, pv, pe = panels[idx]
         pm = 0.5 * (pa + pb)
 
-        left_v, left_e, n1 = _evaluate_panel(f, pa, pm, order)
-        right_v, right_e, n2 = _evaluate_panel(f, pm, pb, order)
+        left_v, left_e, n1 = _evaluate_panel(f, pa, pm)
+        right_v, right_e, n2 = _evaluate_panel(f, pm, pb)
         evaluations += n1 + n2
 
         total += left_v + right_v - pv

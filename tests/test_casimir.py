@@ -3,6 +3,7 @@ sums, correction sweeps, and the sphere-plane mapping."""
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,7 +17,6 @@ from vacuumkit import (
     DomainError,
     PerfectMirror,
     PlasmaMirror,
-    Polarization,
     QuadratureState,
     SpherePlaneConfig,
     ThermalState,
@@ -123,11 +123,8 @@ def zero_t_per_phi_loop(cavity_reflection, L):
             def inner(u):
                 xi = (0.5 * C / L) * math.cos(phi) * u
                 k = (0.5 / L) * math.sin(phi) * u
-                g_e, g_f = casimir._kernels(
-                    cavity_reflection.amplitude_imaginary(xi, k, Polarization.TE),
-                    cavity_reflection.amplitude_imaginary(xi, k, Polarization.TM),
-                    u,
-                )
+                amplitude = lambda pol: cavity_reflection.amplitude_imaginary(xi, k, pol)
+                g_e, g_f = casimir._kernels(amplitude, u)
                 return np.stack([u * u * g_e, u**3 * g_f], axis=-1)
 
             res = adaptive_gauss_legendre(inner, 0.0, 80.0, rel_tol=1e-10)
@@ -139,6 +136,46 @@ def zero_t_per_phi_loop(cavity_reflection, L):
     assert outer.converged
     prefactor = HBAR * C / (32.0 * math.pi**2)
     return prefactor * outer.value[0] / L**3, prefactor * outer.value[1] / L**4
+
+
+def matsubara_per_term_loop(cavity_reflection, L, T):
+    """(E/A, F/A, relative error) at T > 0 with one u-quadrature per
+    Matsubara term and a geometric tail estimate: the loop the blocked sum
+    replaced, kept as its reference."""
+    theta = ThermalState(T).temperature_frequency
+    du = 2.0 * theta * L / C
+    totals, quad_err, mags = np.zeros(2), np.zeros(2), []
+    for n in range(200_000):
+        u_n = n * du
+
+        def integrand(u, n=n, u_n=u_n):
+            if n == 0:
+                k = (0.5 / L) * u
+                amplitude = lambda pol: cavity_reflection.amplitude_static(k, pol)
+            else:
+                k = (0.5 / L) * np.sqrt(np.maximum(u * u - u_n * u_n, 0.0))
+                amplitude = lambda pol: cavity_reflection.amplitude_imaginary(n * theta, k, pol)
+            g_e, g_f = casimir._kernels(amplitude, u)
+            return np.stack([u * g_e, u * u * g_f], axis=-1)
+
+        res = adaptive_gauss_legendre(integrand, u_n, u_n + 80.0, rel_tol=1e-10)
+        assert res.converged
+        weight = 0.5 if n == 0 else 1.0
+        totals += weight * res.value
+        quad_err += weight * res.error
+        mags.append(float(np.max(weight * np.abs(res.value))))
+        last_rel = mags[-1] / float(np.max(totals))
+        if n >= 19 and last_rel < 1e-10:
+            ratio = min(max(math.exp(-du), mags[-1] / mags[-2]), 0.999)
+            tail_rel = last_rel * ratio / (1.0 - ratio)
+            if tail_rel < 1e-10:
+                break
+        if (n + 1) * du > 80.0:
+            tail_rel = 0.0
+            break
+    prefactor = K_B * T / (8.0 * math.pi)
+    rel_err = float(np.max(quad_err / totals)) + tail_rel
+    return prefactor * totals[0] / L**2, prefactor * totals[1] / L**3, rel_err
 
 
 def plasma_zero_t_dblquad(L, plasma_wavelength):
@@ -424,6 +461,52 @@ class TestZeroTemperatureRegime:
         monkeypatch.setattr(casimir, "_INNER_REL_TOL", 1e-20)  # below the round-off floor
         with pytest.raises(ConvergenceError, match=r"phi=\d\.\d{6}.*L=1\.000e-06 m"):
             real_mirror_energy(cavity(1e-6, 0.0, GOLD))
+
+
+class TestMatsubaraSum:
+    @pytest.mark.parametrize("T", [1.0, 2.0])
+    def test_error_bounds_perfect_pair_at_small_spacing(self, T):
+        # du = 5.5e-4 and 1.1e-3: the tail runs over thousands of terms
+        L = 0.1e-6
+        pair = CavityReflection(PERFECT, PERFECT)
+        e_per_area, f_per_area, rel_err, _ = casimir._matsubara_per_area(pair, L, T)
+        e_ref, f_ref = lambert_perfect_per_area(L, T)
+        assert abs(e_per_area / e_ref - 1.0) <= rel_err
+        assert abs(f_per_area / f_ref - 1.0) <= rel_err
+
+    @pytest.mark.parametrize(
+        "mirror, L, T",
+        [(GOLD, 1e-6, 300.0), (GOLD, 2e-6, 77.0), (PlasmaMirror.from_wavelength(1e-6), 10e-9, 300.0)],
+        ids=["gold-1um-300K", "gold-2um-77K", "weak-10nm-300K"],
+    )
+    def test_against_per_term_loop(self, mirror, L, T):
+        pair = CavityReflection(mirror, mirror)
+        e_per_area, f_per_area, rel_err, _ = casimir._matsubara_per_area(pair, L, T)
+        e_ref, f_ref, ref_err = matsubara_per_term_loop(pair, L, T)
+        assert e_per_area == pytest.approx(e_ref, rel=rel_err + ref_err)
+        assert f_per_area == pytest.approx(f_ref, rel=rel_err + ref_err)
+
+    def test_failure_names_term_length_and_temperature(self, monkeypatch):
+        monkeypatch.setattr(casimir, "_INNER_REL_TOL", 1e-20)  # below the round-off floor
+        with pytest.raises(ConvergenceError, match=r"n=0 \(L=1\.000e-06 m, T=300\.0 K"):
+            thermal_force(cavity(1e-6, 300.0, GOLD))
+
+    def test_block_failure_names_its_terms(self, monkeypatch):
+        # only the terms n >= 1 use the imaginary-axis amplitudes; at 1 um
+        # and 300 K they end at n_max = floor(80 / du) = 48, in one block
+        nan = lambda self, xi, k, pol: np.full(np.broadcast_shapes(np.shape(xi), np.shape(k)), np.nan)
+        monkeypatch.setattr(CavityReflection, "amplitude_imaginary", nan)
+        with pytest.raises(ConvergenceError, match=r"n=1, 2, 3, .*, 47, 48 \(L=1\.000e-06 m, T=300\.0 K"):
+            thermal_force(cavity(1e-6, 300.0, GOLD))
+
+    # at 1 nm and 1e-12 K the last term below the u-cut has n near 1.5e19,
+    # beyond the int64 range
+    @pytest.mark.parametrize("L, T, text", [(1e-6, 10.0, "L=1.000e-06 m, T=10.0 K"),
+                                            (1e-9, 1e-12, "L=1.000e-09 m, T=1e-12 K")])
+    def test_term_cap_raises_with_length_and_temperature(self, monkeypatch, L, T, text):
+        monkeypatch.setattr(casimir, "_MATSUBARA_MAX_TERMS", 50)
+        with pytest.raises(ConvergenceError, match=rf"exceeded 50 terms \({re.escape(text)}\)"):
+            thermal_force(cavity(L, T, GOLD))
 
 
 class TestLargeDistanceMatsubara:

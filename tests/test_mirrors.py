@@ -87,6 +87,35 @@ class TestPlasmaAmplitudes:
             reflection_amplitude_imaginary(GOLD, 1e14, -1.0, TE)
 
 
+def test_amplitudes_match_mpmath_near_transparency():
+    # log-uniform xi in [1e6, 1e20] rad/s, k in [1, 1e11] 1/m and lambda_p
+    # in [1 nm, 2 um], deep into the nearly transparent regime where
+    # kappa_m - kappa and eps kappa - kappa_m cancel
+    mpmath = pytest.importorskip("mpmath")
+    from vacuumkit.constants import C
+
+    rng = np.random.default_rng(11)
+    xi, k, lam = (np.exp(rng.uniform(math.log(lo), math.log(hi), 300))
+                  for lo, hi in ((1e6, 1e20), (1.0, 1e11), (1e-9, 2e-6)))
+    worst = 0.0
+    with mpmath.workdps(40):
+        for xi_i, k_i, lam_i in zip(xi, k, lam):
+            mirror = PlasmaMirror.from_wavelength(float(lam_i))
+            q = mpmath.mpf(float(xi_i)) / C
+            kp = mpmath.mpf(mirror.plasma_frequency) / C
+            kk = mpmath.mpf(float(k_i))
+            eps = 1 + (kp / q) ** 2
+            kappa, kappa_m = mpmath.sqrt(q**2 + kk**2), mpmath.sqrt(eps * q**2 + kk**2)
+            k_m = mpmath.sqrt(kk**2 + kp**2)
+            pairs = [
+                ((kappa - kappa_m) / (kappa + kappa_m), mirror.amplitude_imaginary(xi_i, k_i, TE)),
+                ((eps * kappa - kappa_m) / (eps * kappa + kappa_m), mirror.amplitude_imaginary(xi_i, k_i, TM)),
+                ((kk - k_m) / (kk + k_m), mirror.amplitude_static(k_i, TE)),
+            ]
+            worst = max(worst, max(float(abs(r - ref) / abs(ref)) for ref, r in pairs))
+    assert worst <= 2e-15
+
+
 @settings(max_examples=300, derandomize=True)
 @given(
     xi=st.floats(min_value=1e6, max_value=1e20),
