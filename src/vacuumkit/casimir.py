@@ -30,8 +30,14 @@ half weight:
     F/A = k_B T / (8 pi L^3) * Sum'_n Int_{u_n} du u^2 G_F(u; xi_n)
 
 where u_n = 2 xi_n L / c.  The T = 0 operations recover the closed forms
-for perfect mirrors to machine precision and the Matsubara sum reduces to
-them continuously as T -> 0.
+for perfect mirrors to machine precision.
+
+A perfect pair at T > 0 needs no quadrature: every Matsubara term
+integrates in closed form to polylogarithms of exp(-u_n), and the sum over
+n is a Lambert series of at most 74 terms (``_perfect_thermal_per_area``).
+Where t = 2 k_B T L / (hbar c) <= 0.087 the low-temperature form of Brown
+and Maclay replaces the series; it reduces to the closed forms as T -> 0.
+Both report a round-off bound of 32 eps as their error estimate.
 
 Every u-integral runs through one batched routine, ``_u_quadrature``: a
 vector-valued quadrature over u in [0, 80], one column per integral, each
@@ -49,8 +55,9 @@ energy and force, reports it as the tail error, and raises
 ConvergenceError past 1,000,000 terms.
 
 ``_per_area(mirrors, L, T)`` is the single dispatch point: it picks the
-closed form, the T = 0 quadrature or the Matsubara sum, flags a sum with
-few contributing terms and raises ConvergenceError above the error
+closed form, the perfect-pair series or low-T form, the T = 0 quadrature
+or the Matsubara sum, flags a result with few contributing Matsubara terms
+and raises ConvergenceError, naming the path, L and T, above the error
 ceiling.  Every public operation, the sweep and the sphere-plane mapping
 are built on it.
 
@@ -95,6 +102,17 @@ _FEW_TERMS_WARN = 10
 
 # reported relative error must stay below this, else ConvergenceError
 _ERROR_CEILING = 1e-8
+
+_ZETA3 = 1.2020569031595942
+# t = 2 k_B T L / (hbar c) at and below which a perfect pair takes the
+# low-temperature form; above it the Lambert series needs at most 74 terms
+_LOW_T_SWITCH = 0.087
+# the Lambert series stops at m du >= 40, where x_m < e^-40
+_LAMBERT_SPAN = 40.0
+# relative error bound of the perfect-pair thermal path: round-off of at most
+# 74 positive terms of a few correctly rounded operations each, of their
+# sum, and of du and the prefactor; both truncations lie below 1e-18
+_PERFECT_THERMAL_ERROR = 32.0 * float(np.finfo(float).eps)
 
 FLAG_PLANE_LIMIT = "A_not_much_larger_than_L_squared"
 FLAG_PROXIMITY = "R_not_much_larger_than_L"
@@ -353,29 +371,97 @@ def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
     return prefactor * totals[0] / L**2, prefactor * totals[1] / L**3, rel_err, int(np.sum(mags >= threshold))
 
 
+def _perfect_thermal_per_area(L: float, temperature: float):
+    """(E/A, F/A, relative error, few terms, path) of a perfect pair at T > 0.
+
+    Every Matsubara term integrates in closed form: with u_n = n du,
+    E_n = 2[u_n Li2 + Li3] and F_n = 2[u_n^2 Li1 + 2 u_n Li2 + 2 Li3] at
+    exp(-u_n).  Summed over n they form Lambert series in x_m = exp(-m du):
+
+        E/A = k_B T / (8 pi L^2) * [zeta(3) + 2 sum_m (q_m/m^3 + du S1_m/m^2)]
+        F/A = k_B T / (8 pi L^3) * [2 zeta(3)
+                  + 2 sum_m (2 q_m/m^3 + 2 du S1_m/m^2 + du^2 S2_m/m)]
+
+    with q = x/(1-x), S1 = x/(1-x)^2 and S2 = x(1+x)/(1-x)^3, truncated at
+    m du >= 40.  For t = du / 2 pi <= 0.087 the low-temperature form of
+    Brown and Maclay (Phys. Rev. 184, 1272 (1969)) takes over:
+
+        E/E_ideal = 1 + (45 zeta(3) / pi^3) t^3 - t^4,   F/F_ideal = 1 + t^4/3.
+
+    It leaves out terms of order 40 t exp(-2 pi / t), below 1e-30 at the
+    switch (measured against 60-digit sums), and keeps the series from
+    growing as 40/du at small du.  Both branches report the round-off
+    bound ``_PERFECT_THERMAL_ERROR``.
+
+    Fewer than ten terms contribute, as the Matsubara sum counts them,
+    exactly when the term n = 9 lies past the u-cut or below 1e-10 of the
+    total: terms fall with n >= 1, n = 0 contributes above the switch, and
+    force terms and totals bound the energy ones.  Below the switch the
+    flag stays off: ten or more terms contribute wherever du > 1e-9, and
+    below that every term is a vanishing share of the total.
+    """
+    theta = ThermalState(temperature).temperature_frequency
+    du = 2.0 * theta * L / C
+    t = du / (2.0 * math.pi)  # 2 k_B T L / (hbar c)
+    if t <= _LOW_T_SWITCH:
+        e_per_area = ideal_energy_per_area(L) * (1.0 + (45.0 * _ZETA3 / math.pi**3) * t**3 - t**4)
+        f_per_area = ideal_force_per_area(L) * (1.0 + t**4 / 3.0)
+        return e_per_area, f_per_area, _PERFECT_THERMAL_ERROR, False, "perfect-pair low-T form"
+
+    m = np.arange(1.0, math.ceil(_LAMBERT_SPAN / du) + 1.0)
+    x = np.exp(-m * du)
+    one_minus = -np.expm1(-m * du)
+    q = x / one_minus
+    s1 = q / one_minus
+    s2 = s1 * (1.0 + x) / one_minus
+    li3_part = np.sum(q / m**3)
+    li2_part = du * np.sum(s1 / m**2)
+    li1_part = du * du * np.sum(s2 / m)
+    s_e = _ZETA3 + 2.0 * (li3_part + li2_part)
+    s_f = 2.0 * _ZETA3 + 2.0 * (2.0 * li3_part + 2.0 * li2_part + li1_part)
+
+    n = _FEW_TERMS_WARN - 1
+    u = n * du
+    few = n > _U_SPAN // du or (
+        2.0 * np.sum(x**n * (u * u / m + 2.0 * u / m**2 + 2.0 / m**3)) < _MATSUBARA_TERM_REL * s_f
+    )
+    prefactor = K_B * temperature / (8.0 * math.pi)
+    e_per_area, f_per_area = prefactor * s_e / L**2, prefactor * s_f / L**3
+    return e_per_area, f_per_area, _PERFECT_THERMAL_ERROR, bool(few), "perfect-pair series"
+
+
 # --- public operations ------------------------------------------------------
 
 
 def _per_area(mirrors: CavityReflection, L: float, temperature: float):
     """(E/A, F/A, relative error, flags) of a plane-plane cavity.
 
-    The one place that picks the path: the closed forms for a perfect pair
-    at T = 0, the (u, phi) quadrature for any other pair at T = 0, and the
-    Matsubara sum at T > 0.  Raises ConvergenceError when the error
-    estimate exceeds the ceiling.
+    The one place that picks the path: for a perfect pair the closed forms
+    at T = 0 and the Lambert series or low-temperature form at T > 0
+    (``_perfect_thermal_per_area``); for any other pair the (u, phi)
+    quadrature at T = 0 and the Matsubara sum at T > 0.  Raises
+    ConvergenceError, naming the path, L and T, when the error estimate
+    exceeds the ceiling.
     """
-    flags: tuple[str, ...] = ()
+    few = False
     if temperature == 0.0 and mirrors.both_perfect:
-        return ideal_energy_per_area(L), ideal_force_per_area(L), 0.0, flags
-    if temperature == 0.0:
+        path = "closed form"
+        e_per_area, f_per_area, rel_err = ideal_energy_per_area(L), ideal_force_per_area(L), 0.0
+    elif temperature == 0.0:
+        path = "T = 0 quadrature"
         e_per_area, f_per_area, rel_err = _zero_temperature_per_area(mirrors, L)
+    elif mirrors.both_perfect:
+        e_per_area, f_per_area, rel_err, few, path = _perfect_thermal_per_area(L, temperature)
     else:
+        path = "Matsubara sum"
         e_per_area, f_per_area, rel_err, contributing = _matsubara_per_area(mirrors, L, temperature)
-        if contributing < _FEW_TERMS_WARN:
-            flags = (FLAG_FEW_MATSUBARA,)
+        few = contributing < _FEW_TERMS_WARN
     if rel_err > _ERROR_CEILING:
-        raise ConvergenceError(f"error estimate {rel_err:.2e} above ceiling {_ERROR_CEILING:.0e}")
-    return e_per_area, f_per_area, rel_err, flags
+        raise ConvergenceError(
+            f"error estimate {rel_err:.2e} above ceiling {_ERROR_CEILING:.0e} "
+            f"({path}, L={L:.3e} m, T={temperature} K)"
+        )
+    return e_per_area, f_per_area, rel_err, (FLAG_FEW_MATSUBARA,) if few else ()
 
 
 def _plane_result(config: CavityConfig) -> ForceResult:
@@ -416,7 +502,9 @@ def real_mirror_force(config: CavityConfig) -> ForceResult:
 
 
 def thermal_force(config: CavityConfig) -> ForceResult:
-    """Finite-temperature force (and free energy) via the Matsubara sum.
+    """Finite-temperature force (and free energy): the Matsubara sum, or
+    for perfect mirrors its closed-form Lambert series or low-temperature
+    form.
 
     T = 0 reduces exactly to ``real_mirror_force``.  The result carries
     eta_T = F(T)/F(0) and warns when fewer than 10 Matsubara terms

@@ -7,7 +7,9 @@ term, Piessens et al. 1983); it is an upper bound for the finer rule on
 smooth integrands, also once the rule difference has sunk into
 floating-point noise.  The panel with the largest estimate is bisected
 until every component of the (possibly vector-valued) integral meets the
-requested tolerance.
+requested tolerance, or until every panel of each component that has not
+met it sits at its floor: bisection cannot lower a sum of floors, so the
+call then returns unconverged at once (QUADPACK's round-off exit, ier = 2).
 
 Determinism: panel selection breaks ties on the left endpoint and an
 insertion counter, and the final accumulation runs over panels sorted by
@@ -60,7 +62,8 @@ class QuadratureResult:
 
 
 def _evaluate_panel(f: Callable, a: float, b: float):
-    """Integrate one panel with the embedded (16, 32) pair."""
+    """Integrate one panel with the embedded (16, 32) pair: (value, error
+    estimate, which components are above the round-off floor, evaluations)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
 
@@ -72,8 +75,9 @@ def _evaluate_panel(f: Callable, a: float, b: float):
 
     coarse = half * (w_lo @ v_lo)
     fine = half * (w_hi @ v_hi)
-    resabs = half * (w_hi @ np.abs(v_hi))
-    return fine, np.maximum(np.abs(fine - coarse), _ROUNDOFF_FLOOR * resabs), 3 * _ORDER
+    diff = np.abs(fine - coarse)
+    floor = _ROUNDOFF_FLOOR * half * (w_hi @ np.abs(v_hi))
+    return fine, np.maximum(diff, floor), diff > floor, 3 * _ORDER
 
 
 def adaptive_gauss_legendre(
@@ -98,8 +102,9 @@ def adaptive_gauss_legendre(
         Per-component convergence target; a component converges when its
         accumulated error estimate is at most rel_tol * |value|.  The
         estimate never drops below the round-off floor 50 eps Int|f|, so
-        a tolerance under that floor cannot be met: the call then refines
-        up to ``max_panels`` and returns ``converged=False``.
+        a tolerance under that floor cannot be met: the call then returns
+        ``converged=False`` as soon as every panel of each unconverged
+        component sits at its floor.
     max_panels : int
         Hard refinement limit; on hit the result is returned with
         ``converged=False`` and the accumulated estimates.
@@ -111,39 +116,46 @@ def adaptive_gauss_legendre(
     if not (np.isfinite(a) and np.isfinite(b) and b > a):
         raise ValueError(f"invalid integration bounds [{a}, {b}]")
 
-    fine, err, n_eval = _evaluate_panel(f, a, b)
-    panels = [(a, b, fine, err)]
+    fine, err, above, n_eval = _evaluate_panel(f, a, b)
+    panels = [(a, b, fine, err, above)]
     heap = [(-float(err.max()), a, 0, 0)]  # (-max err, left edge, counter, index)
     counter = 1
     evaluations = n_eval
 
     total = fine.copy()
     total_err = err.copy()
+    # panels above their round-off floor, per component; an exact count, where
+    # running float sums of errors and floors would differ by round-off
+    total_above = above.astype(int)
 
-    def _done() -> bool:
-        return bool(np.all(total_err <= rel_tol * np.abs(total)))
+    def _status() -> tuple[bool, bool]:
+        """(converged, finished): finished once every component has
+        converged or has all its panels at their floor."""
+        met = total_err <= rel_tol * np.abs(total)
+        return bool(np.all(met)), bool(np.all(met | (total_above == 0)))
 
-    converged = _done()
-    while not converged and len(panels) < max_panels:
+    converged, finished = _status()
+    while not finished and len(panels) < max_panels:
         _, _, _, idx = heapq.heappop(heap)
-        pa, pb, pv, pe = panels[idx]
+        pa, pb, pv, pe, p_above = panels[idx]
         pm = 0.5 * (pa + pb)
 
-        left_v, left_e, n1 = _evaluate_panel(f, pa, pm)
-        right_v, right_e, n2 = _evaluate_panel(f, pm, pb)
+        left_v, left_e, left_above, n1 = _evaluate_panel(f, pa, pm)
+        right_v, right_e, right_above, n2 = _evaluate_panel(f, pm, pb)
         evaluations += n1 + n2
 
         total += left_v + right_v - pv
         total_err += left_e + right_e - pe
+        total_above += left_above.astype(int) + right_above - p_above
 
-        panels[idx] = (pa, pm, left_v, left_e)
-        panels.append((pm, pb, right_v, right_e))
+        panels[idx] = (pa, pm, left_v, left_e, left_above)
+        panels.append((pm, pb, right_v, right_e, right_above))
         heapq.heappush(heap, (-float(left_e.max()), pa, counter, idx))
         counter += 1
         heapq.heappush(heap, (-float(right_e.max()), pm, counter, len(panels) - 1))
         counter += 1
 
-        converged = _done()
+        converged, finished = _status()
 
     # Fixed-order accumulation: sum panels left to right.
     panels.sort(key=lambda p: p[0])

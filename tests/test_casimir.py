@@ -4,6 +4,7 @@ sums, correction sweeps, and the sphere-plane mapping."""
 import dataclasses
 import math
 import re
+import time
 import warnings
 
 import numpy as np
@@ -110,6 +111,27 @@ def lambert_perfect_per_area(L, T):
     e_per_area = K_B * T / (8.0 * math.pi * L**2) * 2.0 * s
     f_per_area = K_B * T / (4.0 * math.pi * L**3) * (2.0 * s + f_extra)
     return float(e_per_area), float(f_per_area)
+
+
+def mpmath_perfect_per_area(L, T):
+    """(E/A, F/A) of perfect mirrors at T > 0 from the Matsubara terms
+    2[u_n Li2 + Li3] and 2[u_n^2 Li1 + 2 u_n Li2 + 2 Li3] at exp(-u_n),
+    summed one by one with mpmath polylogarithms at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        L, T = mpmath.mpf(L), mpmath.mpf(T)
+        du = 4 * mpmath.pi * mpmath.mpf(K_B) * T * L / (mpmath.mpf(HBAR) * mpmath.mpf(C))
+        s_e, s_f = mpmath.zeta(3), 2 * mpmath.zeta(3)  # n = 0: 2 zeta(3) and 4 zeta(3) at half weight
+        n = 1
+        while n * du < 90:  # exp(-90) < 1e-39
+            u = n * du
+            x = mpmath.exp(-u)
+            li1, li2, li3 = -mpmath.log1p(-x), mpmath.polylog(2, x), mpmath.polylog(3, x)
+            s_e += 2 * (u * li2 + li3)
+            s_f += 2 * (u * u * li1 + 2 * u * li2 + 2 * li3)
+            n += 1
+        prefactor = mpmath.mpf(K_B) * T / (8 * mpmath.pi)
+        return prefactor * s_e / L**2, prefactor * s_f / L**3
 
 
 def zero_t_per_phi_loop(cavity_reflection, L):
@@ -507,6 +529,73 @@ class TestMatsubaraSum:
         monkeypatch.setattr(casimir, "_MATSUBARA_MAX_TERMS", 50)
         with pytest.raises(ConvergenceError, match=rf"exceeded 50 terms \({re.escape(text)}\)"):
             thermal_force(cavity(L, T, GOLD))
+
+
+class TestPerfectPairThermalPath:
+    # two points on each side of the switch at t = 2 k_B T L / (hbar c) = 0.087
+    @pytest.mark.parametrize("t", [0.035, 0.086, 0.089, 2.6])
+    def test_matches_mpmath_polylog_sum(self, t):
+        L = t * HBAR * C / (2.0 * K_B * 300.0)
+        e_per_area, f_per_area, rel_err, _ = casimir._per_area(CavityReflection(PERFECT, PERFECT), L, 300.0)
+        e_ref, f_ref = mpmath_perfect_per_area(L, 300.0)
+        assert 0.0 < rel_err <= 1e-13
+        assert abs(e_per_area / e_ref - 1) <= rel_err
+        assert abs(f_per_area / f_ref - 1) <= rel_err
+
+    # the Matsubara sum over per-term quadratures as the reference, on the
+    # series (1 um and 10 um at 300 K) and on the low-T form (1 um, 10 K)
+    @pytest.mark.parametrize("L, T", [(1e-6, 300.0), (10e-6, 300.0), (1e-6, 10.0)])
+    def test_against_matsubara_sum(self, L, T):
+        pair = CavityReflection(PERFECT, PERFECT)
+        e_per_area, f_per_area, rel_err, _ = casimir._per_area(pair, L, T)
+        e_ref, f_ref, ref_err, _ = casimir._matsubara_per_area(pair, L, T)
+        assert e_per_area == pytest.approx(e_ref, rel=rel_err + ref_err)
+        assert f_per_area == pytest.approx(f_ref, rel=rel_err + ref_err)
+
+    def test_few_terms_flag_matches_matsubara_sum(self):
+        # crosses the flag's edge (near du = 3.24) at each temperature
+        pair = CavityReflection(PERFECT, PERFECT)
+        for T in (300.0, 77.0, 20.0):
+            for L in np.geomspace(1e-6, 40e-6, 15):
+                flags = casimir._per_area(pair, float(L), T)[3]
+                contributing = casimir._matsubara_per_area(pair, float(L), T)[3]
+                assert (FLAG_FEW_MATSUBARA in flags) == (contributing < 10), (L, T)
+
+    # once minutes and then ConvergenceError (0.01 K), and 1,000,000 terms
+    # in 16 s and then a raise (1 nm, 3 K)
+    @pytest.mark.parametrize("L, T", [(1e-6, 0.01), (1e-9, 3.0)])
+    def test_low_temperature_returns_at_once(self, L, T):
+        mpmath = pytest.importorskip("mpmath")
+        start = time.perf_counter()
+        res = thermal_force(cavity(L, T, PERFECT))
+        assert time.perf_counter() - start < 1.0
+        with mpmath.workdps(30):
+            t = 2 * mpmath.mpf(K_B) * T * L / (mpmath.mpf(HBAR) * mpmath.mpf(C))
+            eta_e = 1 + 45 * mpmath.zeta(3) / mpmath.pi**3 * t**3 - t**4
+            eta_f = 1 + t**4 / 3
+        assert 0.0 < res.numerical_error <= 1e-13
+        assert abs(res.eta_E / eta_e - 1) <= res.numerical_error
+        assert abs(res.eta_F / eta_f - 1) <= res.numerical_error
+        assert FLAG_FEW_MATSUBARA not in res.flags
+
+
+class TestErrorCeiling:
+    @pytest.mark.parametrize(
+        "mirror, T, path",
+        [
+            (PERFECT, 0.0, "closed form"),
+            (GOLD, 0.0, "T = 0 quadrature"),
+            (GOLD, 300.0, "Matsubara sum"),
+            (PERFECT, 300.0, "perfect-pair series"),
+            (PERFECT, 10.0, "perfect-pair low-T form"),
+        ],
+        ids=["closed-form", "zero-T-quadrature", "matsubara-sum", "perfect-series", "perfect-low-T"],
+    )
+    def test_message_names_path_length_and_temperature(self, monkeypatch, mirror, T, path):
+        monkeypatch.setattr(casimir, "_ERROR_CEILING", -1.0)  # below every estimate
+        context = rf"\({re.escape(path)}, L=1\.000e-06 m, T={T} K\)"
+        with pytest.raises(ConvergenceError, match="above ceiling .*" + context):
+            thermal_force(cavity(1e-6, T, mirror))
 
 
 class TestLargeDistanceMatsubara:

@@ -69,6 +69,15 @@ def test_error_estimate_bounds_oscillatory_integrals(f, antiderivative, k, b, re
     assert abs(res.scalar - exact) <= res.error[0]
 
 
+def test_tolerance_below_roundoff_floor_stops_early():
+    # every panel reaches its floor 50 eps Int|f| long before 512 panels;
+    # bisection cannot lower that sum, so the call gives up there
+    res = adaptive_gauss_legendre(lambda x: np.cos(29 * x), 0.0, 10.0, rel_tol=1e-12)
+    assert not res.converged
+    assert res.panels <= 32
+    assert abs(res.scalar - math.sin(290.0) / 29.0) <= res.error[0]
+
+
 def test_panel_limit_reports_non_convergence():
     # near-singular integrand with a hopeless budget
     res = adaptive_gauss_legendre(
