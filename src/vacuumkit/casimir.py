@@ -68,14 +68,13 @@ bit-identical results.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import C, HBAR, K_B
-from .errors import ConvergenceError, DomainError, _check_positive
-from .mirrors import CavityReflection, Mirror, PerfectMirror, Polarization
+from .errors import ConvergenceError, DomainError, _check_integer, _check_positive
+from .mirrors import CavityReflection, Mirror, PerfectMirror
 from .planck import ThermalState
 from .quadrature import _gauss_legendre_rule, adaptive_gauss_legendre
 
@@ -231,12 +230,13 @@ class SpherePlaneResult:
 # --- spectral kernels -------------------------------------------------------
 
 
-def _kernels(amplitude, u):
+def _kernels(amplitudes, u):
     """Polarization-summed energy and force kernels at exp(-u) of the loop
-    amplitude ``amplitude(pol)``."""
+    amplitudes ``(r_TE, r_TM)``."""
+    r_te, r_tm = amplitudes
     emu = np.exp(-u)
-    x_te = amplitude(Polarization.TE) * emu
-    x_tm = amplitude(Polarization.TM) * emu
+    x_te = r_te * emu
+    x_tm = r_tm * emu
     g_e = -(np.log1p(-x_te) + np.log1p(-x_tm))
     g_f = x_te / (1.0 - x_te) + x_tm / (1.0 - x_tm)
     return g_e, g_f
@@ -289,10 +289,11 @@ def _zero_temperature_per_area(cavity: CavityReflection, L: float):
         sin_phi = np.sin(phis)
 
         def inner(u):
-            uc = u[:, None]
+            # the full (u, phi) grid: a perfect pair's amplitudes are scalars
+            uc = np.broadcast_to(u[:, None], (u.size, phis.size))
             xi = (0.5 * C / L) * cos_phi * uc
             k = (0.5 / L) * sin_phi * uc
-            g_e, g_f = _kernels(lambda pol: cavity.amplitude_imaginary(xi, k, pol), uc)
+            g_e, g_f = _kernels(cavity.amplitude_imaginary(xi, k), uc)
             u2 = uc * uc
             return np.concatenate([u2 * g_e, u2 * uc * g_f], axis=1)
 
@@ -328,7 +329,7 @@ def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
     context = f"L={L:.3e} m, T={temperature} K"
 
     def static_term(u):
-        g_e, g_f = _kernels(lambda pol: cavity.amplitude_static((0.5 / L) * u, pol), u)
+        g_e, g_f = _kernels(cavity.amplitude_static((0.5 / L) * u), u)
         return np.stack([u * g_e, u * u * g_f], axis=-1)
 
     value, error = _u_quadrature(static_term, lambda bad: "n=0", context)
@@ -346,7 +347,7 @@ def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
             sc = s[:, None]
             u = u_n + sc
             k = (0.5 / L) * np.sqrt(sc * (sc + 2.0 * u_n))
-            g_e, g_f = _kernels(lambda pol: cavity.amplitude_imaginary(xi, k, pol), u)
+            g_e, g_f = _kernels(cavity.amplitude_imaginary(xi, k), u)
             return np.concatenate([u * g_e, u * u * g_f], axis=1)
 
         value, error = _u_quadrature(block, lambda bad: "n=" + ", ".join(map(str, n[bad])), context)
@@ -563,8 +564,7 @@ def eta_sweep(
     L_max = _check_positive("L_max", L_max)
     if not L_min < L_max:
         raise DomainError(f"need L_min < L_max, got [{L_min!r}, {L_max!r}]")
-    if isinstance(points, bool) or not (isinstance(points, numbers.Integral) and points >= 2):
-        raise DomainError(f"points must be an integer >= 2, got {points!r}")
+    points = _check_integer("points", points, 2)
     temperature = _check_positive("temperature", temperature, allow_zero=True)
 
     real = CavityReflection(mirror, mirror)

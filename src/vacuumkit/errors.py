@@ -31,3 +31,11 @@ def _check_positive(name: str, value, *, allow_zero: bool = False) -> float:
     ):
         raise DomainError(f"{name} must be finite and {'>=' if allow_zero else '>'} 0, got {value!r}")
     return float(value)
+
+
+def _check_integer(name: str, value, minimum: int) -> int:
+    """value as an int, if it is an integer >= minimum; bools are refused,
+    numpy integer scalars accepted."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= minimum):
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

@@ -9,6 +9,11 @@ real-axis amplitudes: below the plasma frequency a plasma mirror totally
 reflects and the real-axis spectral integrand is not an ordinary
 function.  ``airy_factor`` evaluates the real-axis redistribution factor
 for a loop amplitude supplied by the caller.
+
+Every amplitude method returns the pair (r_TE, r_TM) that each spectral
+sum needs; a plasma mirror forms kappa and kappa_m once for both.  A perfect
+mirror's pair is the scalars (-1.0, 1.0); ``reflection_amplitude_imaginary``
+checks its inputs and shapes the pair to them.
 """
 
 from __future__ import annotations
@@ -16,27 +21,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from enum import Enum
 from typing import Union
 
 import numpy as np
 
 from .constants import C
 from .errors import DomainError, SingularResonanceError, _check_positive
-
-
-class Polarization(Enum):
-    """Transverse electric / transverse magnetic; every spectral sum runs over both."""
-
-    TE = "TE"
-    TM = "TM"
-
-
-def _shaped(value: float, *arrays):
-    shape = np.broadcast_shapes(*(np.shape(a) for a in arrays))
-    if shape == ():
-        return float(value)
-    return np.full(shape, value)
 
 
 @dataclass(frozen=True)
@@ -49,11 +39,11 @@ class PerfectMirror:
     perfect-mirror limit.
     """
 
-    def amplitude_imaginary(self, xi, k, pol: Polarization):
-        return _shaped(-1.0 if pol is Polarization.TE else 1.0, xi, k)
+    def amplitude_imaginary(self, xi, k):
+        return -1.0, 1.0
 
-    def amplitude_static(self, k, pol: Polarization):
-        return _shaped(-1.0 if pol is Polarization.TE else 1.0, k)
+    def amplitude_static(self, k):
+        return -1.0, 1.0
 
 
 @dataclass(frozen=True)
@@ -86,7 +76,7 @@ class PlasmaMirror:
         plasma_wavelength = _check_positive("plasma wavelength", plasma_wavelength)
         return cls(plasma_frequency=2.0 * math.pi * C / plasma_wavelength)
 
-    def amplitude_imaginary(self, xi, k, pol: Polarization):
+    def amplitude_imaginary(self, xi, k):
         xi = np.asarray(xi, dtype=float)
         k = np.asarray(k, dtype=float)
         q2 = (xi / C) ** 2
@@ -94,32 +84,26 @@ class PlasmaMirror:
         kp2 = (self.plasma_frequency / C) ** 2
         kappa = np.sqrt(q2 + k2)
         kappa_m = np.sqrt(q2 + kp2 + k2)
-        if pol is Polarization.TE:
-            d = kp2 / (kappa + kappa_m)
-            r = -d / (d + 2.0 * kappa)
-        else:
-            a = (self.plasma_frequency / xi) ** 2
-            eps = 1.0 + a
-            d = a * (eps * q2 + (eps + 1.0) * k2) / (eps * kappa + kappa_m)
-            r = d / (d + 2.0 * kappa_m)
-        return float(r) if r.ndim == 0 else r
+        d_te = kp2 / (kappa + kappa_m)
+        a = (self.plasma_frequency / xi) ** 2
+        eps = 1.0 + a
+        d_tm = a * (eps * q2 + (eps + 1.0) * k2) / (eps * kappa + kappa_m)
+        return -d_te / (d_te + 2.0 * kappa), d_tm / (d_tm + 2.0 * kappa_m)
 
-    def amplitude_static(self, k, pol: Polarization):
+    def amplitude_static(self, k):
         """xi -> 0 limit at fixed k: TM -> +1, TE keeps its k dependence."""
-        if pol is Polarization.TM:
-            return _shaped(1.0, k)
         k = np.asarray(k, dtype=float)
         kp2 = (self.plasma_frequency / C) ** 2
         d = kp2 / (k + np.sqrt(k * k + kp2))
-        r = -d / (d + 2.0 * k)
-        return float(r) if r.ndim == 0 else r
+        return -d / (d + 2.0 * k), 1.0
 
 
 Mirror = Union[PerfectMirror, PlasmaMirror]
 
 
-def reflection_amplitude_imaginary(model: Mirror, xi, k, pol: Polarization):
-    """Imaginary-axis reflection amplitude of one mirror, real in [-1, 1].
+def reflection_amplitude_imaginary(model: Mirror, xi, k):
+    """Imaginary-axis (TE, TM) reflection amplitudes of one mirror, real in
+    [-1, 1]: floats for scalar xi and k, else arrays of their broadcast shape.
 
     xi must be > 0 and k >= 0 (elementwise for array input).
     """
@@ -129,7 +113,11 @@ def reflection_amplitude_imaginary(model: Mirror, xi, k, pol: Polarization):
         raise DomainError("xi must be finite and > 0")
     if not (np.all(np.isfinite(k_a)) and np.all(k_a >= 0.0)):
         raise DomainError("k must be finite and >= 0")
-    return model.amplitude_imaginary(xi_a if xi_a.ndim else float(xi_a), k_a if k_a.ndim else float(k_a), pol)
+    pair = model.amplitude_imaginary(xi_a, k_a)
+    shape = np.broadcast_shapes(xi_a.shape, k_a.shape)
+    if shape == ():
+        return tuple(float(r) for r in pair)
+    return tuple(np.full(shape, r) for r in pair)
 
 
 @dataclass(frozen=True)
@@ -144,11 +132,15 @@ class CavityReflection:
     def both_perfect(self) -> bool:
         return isinstance(self.mirror1, PerfectMirror) and isinstance(self.mirror2, PerfectMirror)
 
-    def amplitude_imaginary(self, xi, k, pol: Polarization):
-        return self.mirror1.amplitude_imaginary(xi, k, pol) * self.mirror2.amplitude_imaginary(xi, k, pol)
+    def amplitude_imaginary(self, xi, k):
+        te1, tm1 = self.mirror1.amplitude_imaginary(xi, k)
+        te2, tm2 = self.mirror2.amplitude_imaginary(xi, k)
+        return te1 * te2, tm1 * tm2
 
-    def amplitude_static(self, k, pol: Polarization):
-        return self.mirror1.amplitude_static(k, pol) * self.mirror2.amplitude_static(k, pol)
+    def amplitude_static(self, k):
+        te1, tm1 = self.mirror1.amplitude_static(k)
+        te2, tm2 = self.mirror2.amplitude_static(k)
+        return te1 * te2, tm1 * tm2
 
 
 def airy_factor(r_p: complex, kappa_L: float) -> float:
@@ -166,13 +158,11 @@ def airy_factor(r_p: complex, kappa_L: float) -> float:
         raise DomainError(f"|r_p| must not exceed 1, got {abs(r)!r}")
     num = max(1.0 - mag2, 0.0)
     denom = abs(1.0 - r * complex(math.cos(2.0 * kappa_L), math.sin(2.0 * kappa_L))) ** 2
-    if denom < 1e-30:
-        if num < 1e-30:
-            raise SingularResonanceError(
-                "unit-reflectivity cavity evaluated on resonance; use the closed-form "
-                "perfect-mirror expressions"
-            )
-        return num / denom
+    if denom < 1e-30 and num < 1e-30:
+        raise SingularResonanceError(
+            "unit-reflectivity cavity evaluated on resonance; use the closed-form "
+            "perfect-mirror expressions"
+        )
     return num / denom
 
 

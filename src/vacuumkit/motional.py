@@ -118,13 +118,15 @@ class Trajectory:
 
     @classmethod
     def from_file(cls, path: str) -> "Trajectory":
-        """Load a two-column (t, q) text file and validate uniform sampling."""
+        """Load a two-column (t, q) text file and validate finite, uniform sampling."""
         data = np.loadtxt(path, dtype=float)
         if data.ndim != 2 or data.shape[1] != 2:
             raise DomainError(f"{path}: expected two columns (t, q)")
         t, q = data[:, 0], data[:, 1]
         if t.size < len(STENCIL_OFFSETS):
             raise DomainError(f"{path}: need at least {len(STENCIL_OFFSETS)} samples, got {t.size}")
+        if not np.all(np.isfinite(t)):
+            raise DomainError(f"{path}: time column must be finite")
         steps = np.diff(t)
         dt = float(steps[0])
         if dt <= 0.0 or np.max(np.abs(steps - dt)) > 1e-6 * abs(dt):

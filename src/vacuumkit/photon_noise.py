@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _check_positive
+from .errors import DomainError, _check_integer, _check_positive
 
 # linearization is trusted above this mean photon number
 _LINEAR_REGIME_MIN = 100.0
@@ -134,10 +134,8 @@ def monte_carlo_difference(setup: BeamSplitterSetup, trials: int, seed: int) -> 
     fixed seed reproduces the stream bit for bit.  The empirical variance
     (ddof=1) converges to ``difference_variance`` as trials grow.
     """
-    if not isinstance(trials, int) or trials < _MIN_TRIALS:
-        raise DomainError(f"trials must be an int >= {_MIN_TRIALS}, got {trials!r}")
-    if not isinstance(seed, int):
-        raise DomainError(f"seed must be an int, got {seed!r}")
+    trials = _check_integer("trials", trials, _MIN_TRIALS)
+    seed = _check_integer("seed", seed, 0)
 
     b = setup.port_b
     rng = np.random.default_rng(seed)

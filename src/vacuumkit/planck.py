@@ -115,14 +115,14 @@ def energy_density(omega_max: float, state: ThermalState) -> EnergyDensity:
     return EnergyDensity(vacuum=vacuum, thermal=thermal)
 
 
-def blackbody_energy_density(state: ThermalState, rel_tol: float = 1e-12) -> float:
+def blackbody_energy_density(state: ThermalState) -> float:
     """Blackbody energy density by direct quadrature of the mode sum,
 
         integral of hbar omega * n(omega, T) * omega^2 / (pi^2 c^3) d omega,
 
     evaluated through the substitution x = hbar omega / k_B T.  Equals
     pi^2 (k_B T)^4 / (15 hbar^3 c^3), which is 2/3 of the thermal addend of
-    ``energy_density``.
+    ``energy_density``.  The quadrature runs at relative tolerance 1e-12.
     """
     if state.temperature == 0.0:
         return 0.0
@@ -131,6 +131,6 @@ def blackbody_energy_density(state: ThermalState, rel_tol: float = 1e-12) -> flo
         return x**3 / np.expm1(x)
 
     # x^3 e^-x tail beyond 60 is below 1e-21 of the integral
-    res = adaptive_gauss_legendre(integrand, 0.0, 60.0, rel_tol=rel_tol)
+    res = adaptive_gauss_legendre(integrand, 0.0, 60.0, rel_tol=1e-12)
     scale = (K_B * state.temperature) ** 4 / (math.pi**2 * HBAR**3 * C**3)
     return scale * res.scalar

@@ -34,6 +34,9 @@ _ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
 # node count of the coarse rule of the embedded (16, 32) pair
 _ORDER = 16
 
+# hard refinement limit; on hit the result is returned with converged=False
+_MAX_PANELS = 512
+
 
 @lru_cache(maxsize=None)
 def _gauss_legendre_rule(n: int):
@@ -86,7 +89,6 @@ def adaptive_gauss_legendre(
     b: float,
     *,
     rel_tol: float = 1e-10,
-    max_panels: int = 512,
 ) -> QuadratureResult:
     """Integrate ``f`` over [a, b] to the requested tolerance.
 
@@ -104,10 +106,9 @@ def adaptive_gauss_legendre(
         estimate never drops below the round-off floor 50 eps Int|f|, so
         a tolerance under that floor cannot be met: the call then returns
         ``converged=False`` as soon as every panel of each unconverged
-        component sits at its floor.
-    max_panels : int
-        Hard refinement limit; on hit the result is returned with
-        ``converged=False`` and the accumulated estimates.
+        component sits at its floor.  Past ``_MAX_PANELS`` panels the
+        call also returns ``converged=False`` with the accumulated
+        estimates.
 
     Returns
     -------
@@ -135,7 +136,7 @@ def adaptive_gauss_legendre(
         return bool(np.all(met)), bool(np.all(met | (total_above == 0)))
 
     converged, finished = _status()
-    while not finished and len(panels) < max_panels:
+    while not finished and len(panels) < _MAX_PANELS:
         _, _, _, idx = heapq.heappop(heap)
         pa, pb, pv, pe, p_above = panels[idx]
         pm = 0.5 * (pa + pb)

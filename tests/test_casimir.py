@@ -145,8 +145,7 @@ def zero_t_per_phi_loop(cavity_reflection, L):
             def inner(u):
                 xi = (0.5 * C / L) * math.cos(phi) * u
                 k = (0.5 / L) * math.sin(phi) * u
-                amplitude = lambda pol: cavity_reflection.amplitude_imaginary(xi, k, pol)
-                g_e, g_f = casimir._kernels(amplitude, u)
+                g_e, g_f = casimir._kernels(cavity_reflection.amplitude_imaginary(xi, k), u)
                 return np.stack([u * u * g_e, u**3 * g_f], axis=-1)
 
             res = adaptive_gauss_legendre(inner, 0.0, 80.0, rel_tol=1e-10)
@@ -173,11 +172,11 @@ def matsubara_per_term_loop(cavity_reflection, L, T):
         def integrand(u, n=n, u_n=u_n):
             if n == 0:
                 k = (0.5 / L) * u
-                amplitude = lambda pol: cavity_reflection.amplitude_static(k, pol)
+                amplitudes = cavity_reflection.amplitude_static(k)
             else:
                 k = (0.5 / L) * np.sqrt(np.maximum(u * u - u_n * u_n, 0.0))
-                amplitude = lambda pol: cavity_reflection.amplitude_imaginary(n * theta, k, pol)
-            g_e, g_f = casimir._kernels(amplitude, u)
+                amplitudes = cavity_reflection.amplitude_imaginary(n * theta, k)
+            g_e, g_f = casimir._kernels(amplitudes, u)
             return np.stack([u * g_e, u * u * g_f], axis=-1)
 
         res = adaptive_gauss_legendre(integrand, u_n, u_n + 80.0, rel_tol=1e-10)
@@ -479,6 +478,15 @@ class TestZeroTemperatureRegime:
         assert e_per_area == pytest.approx(e_ref, rel=rel_err)
         assert f_per_area == pytest.approx(f_ref, rel=rel_err)
 
+    @pytest.mark.parametrize("L", [0.1e-6, 1e-6])
+    def test_perfect_pair_recovers_closed_forms(self, L):
+        # the perfect pair's amplitudes are scalars; the quadrature must
+        # still run over the full (u, phi) grid
+        pair = CavityReflection(PERFECT, PERFECT)
+        e_per_area, f_per_area, rel_err = casimir._zero_temperature_per_area(pair, L)
+        assert e_per_area == pytest.approx(ideal_energy_per_area(L), rel=rel_err)
+        assert f_per_area == pytest.approx(HBAR * C * math.pi**2 / (240.0 * L**4), rel=rel_err)
+
     def test_inner_failure_names_phi_and_length(self, monkeypatch):
         monkeypatch.setattr(casimir, "_INNER_REL_TOL", 1e-20)  # below the round-off floor
         with pytest.raises(ConvergenceError, match=r"phi=\d\.\d{6}.*L=1\.000e-06 m"):
@@ -516,7 +524,7 @@ class TestMatsubaraSum:
     def test_block_failure_names_its_terms(self, monkeypatch):
         # only the terms n >= 1 use the imaginary-axis amplitudes; at 1 um
         # and 300 K they end at n_max = floor(80 / du) = 48, in one block
-        nan = lambda self, xi, k, pol: np.full(np.broadcast_shapes(np.shape(xi), np.shape(k)), np.nan)
+        nan = lambda self, xi, k: (np.full(np.broadcast_shapes(np.shape(xi), np.shape(k)), np.nan),) * 2
         monkeypatch.setattr(CavityReflection, "amplitude_imaginary", nan)
         with pytest.raises(ConvergenceError, match=r"n=1, 2, 3, .*, 47, 48 \(L=1\.000e-06 m, T=300\.0 K"):
             thermal_force(cavity(1e-6, 300.0, GOLD))

@@ -11,7 +11,6 @@ from vacuumkit import (
     DomainError,
     PerfectMirror,
     PlasmaMirror,
-    Polarization,
     SingularResonanceError,
     airy_factor,
     load_material_file,
@@ -21,15 +20,21 @@ from vacuumkit import (
 )
 from vacuumkit.mirrors import MATERIALS_ENV_VAR
 
-TE, TM = Polarization.TE, Polarization.TM
+TE, TM = 0, 1  # positions in an amplitude pair
 GOLD = PlasmaMirror.from_wavelength(136e-9)
 
 
 class TestPerfectMirror:
     def test_unit_reflection(self):
         m = PerfectMirror()
-        assert m.amplitude_imaginary(1e15, 0.0, TE) == -1.0
-        assert m.amplitude_imaginary(1e15, 3e6, TM) == 1.0
+        assert m.amplitude_imaginary(1e15, 0.0)[TE] == -1.0
+        assert m.amplitude_imaginary(1e15, 3e6)[TM] == 1.0
+
+    def test_pair_shaped_to_inputs(self):
+        assert reflection_amplitude_imaginary(PerfectMirror(), 1e15, 3e6) == (-1.0, 1.0)
+        r_te, r_tm = reflection_amplitude_imaginary(PerfectMirror(), np.array([1e14, 1e15]), 3e6)
+        np.testing.assert_array_equal(r_te, [-1.0, -1.0])
+        np.testing.assert_array_equal(r_tm, [1.0, 1.0])
 
 
 class TestPlasmaAmplitudes:
@@ -37,7 +42,7 @@ class TestPlasmaAmplitudes:
         # TE at k = 0 for xi >> omega_p: |r| -> omega_p^2 / (4 xi^2)
         wp = GOLD.plasma_frequency
         for xi in (50 * wp, 200 * wp):
-            r = reflection_amplitude_imaginary(GOLD, xi, 0.0, TE)
+            r = reflection_amplitude_imaginary(GOLD, xi, 0.0)[TE]
             assert r < 0.0
             assert abs(r) == pytest.approx(wp**2 / (4 * xi**2), rel=1e-3)
 
@@ -45,46 +50,46 @@ class TestPlasmaAmplitudes:
         # r_TE -> -1 within O(xi/omega_p) at k = 0
         wp = GOLD.plasma_frequency
         for frac in (1e-3, 1e-4):
-            r = reflection_amplitude_imaginary(GOLD, frac * wp, 0.0, TE)
+            r = reflection_amplitude_imaginary(GOLD, frac * wp, 0.0)[TE]
             assert abs(r + 1.0) < 3.0 * frac
 
     def test_tm_static_limit_is_plus_one_at_finite_k(self):
         for k in (1e5, 1e7):
             values = [
-                reflection_amplitude_imaginary(GOLD, xi, k, TM)
+                reflection_amplitude_imaginary(GOLD, xi, k)[TM]
                 for xi in (1e10, 1e8, 1e6)
             ]
             assert values[-1] == pytest.approx(1.0, abs=1e-4)
-            assert GOLD.amplitude_static(k, TM) == 1.0
+            assert GOLD.amplitude_static(k)[TM] == 1.0
 
     def test_static_te_matches_small_xi(self):
         k = 3e6
-        limit = GOLD.amplitude_static(k, TE)
-        near = reflection_amplitude_imaginary(GOLD, 1e4, k, TE)
+        limit = GOLD.amplitude_static(k)[TE]
+        near = reflection_amplitude_imaginary(GOLD, 1e4, k)[TE]
         assert near == pytest.approx(limit, rel=1e-8)
 
     def test_magnitude_monotone_decreasing_in_xi(self):
         xis = np.geomspace(1e12, 1e18, 40)
         for k in (0.0, 1e6, 1e8):
             for pol in (TE, TM):
-                mags = [abs(reflection_amplitude_imaginary(GOLD, float(x), k, pol)) for x in xis]
+                mags = [abs(reflection_amplitude_imaginary(GOLD, float(x), k)[pol]) for x in xis]
                 assert all(b <= a + 1e-15 for a, b in zip(mags, mags[1:])), (k, pol)
 
     def test_vectorized_matches_scalar(self):
         xi = np.array([1e13, 1e14, 1e15])
         k = np.array([0.0, 1e6, 1e7])
-        vec = reflection_amplitude_imaginary(GOLD, xi, k, TE)
-        scal = [reflection_amplitude_imaginary(GOLD, float(a), float(b), TE) for a, b in zip(xi, k)]
+        vec = reflection_amplitude_imaginary(GOLD, xi, k)[TE]
+        scal = [reflection_amplitude_imaginary(GOLD, float(a), float(b))[TE] for a, b in zip(xi, k)]
         np.testing.assert_allclose(vec, scal, rtol=0)
 
     @pytest.mark.parametrize("bad_xi", [0.0, -1.0, math.nan])
     def test_domain_error_on_xi(self, bad_xi):
         with pytest.raises(DomainError):
-            reflection_amplitude_imaginary(GOLD, bad_xi, 0.0, TE)
+            reflection_amplitude_imaginary(GOLD, bad_xi, 0.0)
 
     def test_domain_error_on_negative_k(self):
         with pytest.raises(DomainError):
-            reflection_amplitude_imaginary(GOLD, 1e14, -1.0, TE)
+            reflection_amplitude_imaginary(GOLD, 1e14, -1.0)
 
 
 def test_amplitudes_match_mpmath_near_transparency():
@@ -108,9 +113,9 @@ def test_amplitudes_match_mpmath_near_transparency():
             kappa, kappa_m = mpmath.sqrt(q**2 + kk**2), mpmath.sqrt(eps * q**2 + kk**2)
             k_m = mpmath.sqrt(kk**2 + kp**2)
             pairs = [
-                ((kappa - kappa_m) / (kappa + kappa_m), mirror.amplitude_imaginary(xi_i, k_i, TE)),
-                ((eps * kappa - kappa_m) / (eps * kappa + kappa_m), mirror.amplitude_imaginary(xi_i, k_i, TM)),
-                ((kk - k_m) / (kk + k_m), mirror.amplitude_static(k_i, TE)),
+                ((kappa - kappa_m) / (kappa + kappa_m), mirror.amplitude_imaginary(xi_i, k_i)[TE]),
+                ((eps * kappa - kappa_m) / (eps * kappa + kappa_m), mirror.amplitude_imaginary(xi_i, k_i)[TM]),
+                ((kk - k_m) / (kk + k_m), mirror.amplitude_static(k_i)[TE]),
             ]
             worst = max(worst, max(float(abs(r - ref) / abs(ref)) for ref, r in pairs))
     assert worst <= 2e-15
@@ -125,7 +130,7 @@ def test_amplitudes_match_mpmath_near_transparency():
 )
 def test_unitarity_bound_property(xi, k, lam_nm, pol):
     mirror = PlasmaMirror.from_wavelength(lam_nm * 1e-9)
-    r = reflection_amplitude_imaginary(mirror, xi, k, pol)
+    r = reflection_amplitude_imaginary(mirror, xi, k)[pol]
     assert -1.0 <= r <= 1.0
 
 
@@ -181,8 +186,8 @@ class TestCavityReflection:
     def test_product_rule(self):
         cavity = CavityReflection(GOLD, PerfectMirror())
         xi, k = 3e14, 2e6
-        expected = GOLD.amplitude_imaginary(xi, k, TE) * (-1.0)
-        assert cavity.amplitude_imaginary(xi, k, TE) == pytest.approx(expected, rel=1e-15)
+        expected = GOLD.amplitude_imaginary(xi, k)[TE] * (-1.0)
+        assert cavity.amplitude_imaginary(xi, k)[TE] == pytest.approx(expected, rel=1e-15)
 
     def test_both_perfect_detection(self):
         assert CavityReflection(PerfectMirror(), PerfectMirror()).both_perfect

@@ -156,6 +156,15 @@ class TestTrajectory:
         with pytest.raises(DomainError):
             Trajectory.from_file(str(path))
 
+    def test_from_file_non_finite_time_rejected(self, tmp_path):
+        # NaN fails every comparison of the uniform-step check
+        t = 1e-3 * np.arange(20)
+        t[7] = np.nan
+        path = tmp_path / "traj.txt"
+        np.savetxt(path, np.column_stack([t, np.zeros_like(t)]))
+        with pytest.raises(DomainError, match=r"traj\.txt: time column must be finite"):
+            Trajectory.from_file(str(path))
+
     def test_positions_read_only(self):
         traj = Trajectory(np.zeros(11), 1e-3)
         with pytest.raises(ValueError):

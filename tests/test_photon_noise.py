@@ -140,7 +140,10 @@ class TestMonteCarlo:
     def test_trials_floor(self):
         with pytest.raises(DomainError):
             monte_carlo_difference(setup_with(1.0), 999, 1)
+        # numpy integers are accepted, as by the float checks
+        assert monte_carlo_difference(setup_with(1.0), np.int64(2000), 1).trials == 2000
 
     def test_seed_required_to_be_int(self):
-        with pytest.raises(DomainError):
-            monte_carlo_difference(setup_with(1.0), 10_000, "abc")
+        for seed in ("abc", True, -1):
+            with pytest.raises(DomainError, match="seed"):
+                monte_carlo_difference(setup_with(1.0), 10_000, seed)
