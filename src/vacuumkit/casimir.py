@@ -102,6 +102,9 @@ _FEW_TERMS_WARN = 10
 # reported relative error must stay below this, else ConvergenceError
 _ERROR_CEILING = 1e-8
 
+# a sweep holds five float64 arrays of this many points, each at most 8 MB
+_MAX_POINTS = 1_000_000
+
 _ZETA3 = 1.2020569031595942
 # t = 2 k_B T L / (hbar c) at and below which a perfect pair takes the
 # low-temperature form; above it the Lambert series needs at most 74 terms
@@ -564,7 +567,7 @@ def eta_sweep(
     L_max = _check_positive("L_max", L_max)
     if not L_min < L_max:
         raise DomainError(f"need L_min < L_max, got [{L_min!r}, {L_max!r}]")
-    points = _check_integer("points", points, 2)
+    points = _check_integer("points", points, 2, _MAX_POINTS)
     temperature = _check_positive("temperature", temperature, allow_zero=True)
 
     real = CavityReflection(mirror, mirror)

@@ -33,9 +33,14 @@ def _check_positive(name: str, value, *, allow_zero: bool = False) -> float:
     return float(value)
 
 
-def _check_integer(name: str, value, minimum: int) -> int:
-    """value as an int, if it is an integer >= minimum; bools are refused,
-    numpy integer scalars accepted."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= minimum):
-        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def _check_integer(name: str, value, minimum: int, maximum: int | None = None) -> int:
+    """value as an int, if it is an integer >= minimum (and <= maximum, when
+    given); bools are refused, numpy integer scalars accepted."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral)
+        and value >= minimum
+        and (maximum is None or value <= maximum)
+    ):
+        bound = "" if maximum is None else f" and <= {maximum}"
+        raise DomainError(f"{name} must be an integer >= {minimum}{bound}, got {value!r}")
     return int(value)

@@ -113,8 +113,13 @@ def reflection_amplitude_imaginary(model: Mirror, xi, k):
         raise DomainError("xi must be finite and > 0")
     if not (np.all(np.isfinite(k_a)) and np.all(k_a >= 0.0)):
         raise DomainError("k must be finite and >= 0")
+    try:
+        shape = np.broadcast_shapes(xi_a.shape, k_a.shape)
+    except ValueError:
+        raise DomainError(
+            f"xi of shape {xi_a.shape} and k of shape {k_a.shape} do not broadcast"
+        ) from None
     pair = model.amplitude_imaginary(xi_a, k_a)
-    shape = np.broadcast_shapes(xi_a.shape, k_a.shape)
     if shape == ():
         return tuple(float(r) for r in pair)
     return tuple(np.full(shape, r) for r in pair)
@@ -210,9 +215,9 @@ def material_table() -> dict[str, float]:
     return table
 
 
-def preset_mirror(name: str, table: dict[str, float] | None = None) -> PlasmaMirror:
+def preset_mirror(name: str) -> PlasmaMirror:
     """Plasma mirror for a named material preset."""
-    table = material_table() if table is None else table
+    table = material_table()
     if name not in table:
         raise DomainError(f"unknown material preset {name!r}; known: {sorted(table)}")
     return PlasmaMirror.from_wavelength(table[name] * 1e-9)

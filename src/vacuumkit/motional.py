@@ -125,8 +125,9 @@ class Trajectory:
         t, q = data[:, 0], data[:, 1]
         if t.size < len(STENCIL_OFFSETS):
             raise DomainError(f"{path}: need at least {len(STENCIL_OFFSETS)} samples, got {t.size}")
-        if not np.all(np.isfinite(t)):
-            raise DomainError(f"{path}: time column must be finite")
+        for name, column in (("time", t), ("position", q)):
+            if not np.all(np.isfinite(column)):
+                raise DomainError(f"{path}: {name} column must be finite")
         steps = np.diff(t)
         dt = float(steps[0])
         if dt <= 0.0 or np.max(np.abs(steps - dt)) > 1e-6 * abs(dt):

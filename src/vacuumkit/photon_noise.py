@@ -24,6 +24,8 @@ from .errors import DomainError, _check_integer, _check_positive
 _LINEAR_REGIME_MIN = 100.0
 
 _MIN_TRIALS = 1000
+# two float64 arrays of trials samples, each at most 80 MB
+_MAX_TRIALS = 10_000_000
 
 # relative slack on the minimum-uncertainty product check, floats only
 _HEISENBERG_TOL = 1e-12
@@ -134,7 +136,7 @@ def monte_carlo_difference(setup: BeamSplitterSetup, trials: int, seed: int) -> 
     fixed seed reproduces the stream bit for bit.  The empirical variance
     (ddof=1) converges to ``difference_variance`` as trials grow.
     """
-    trials = _check_integer("trials", trials, _MIN_TRIALS)
+    trials = _check_integer("trials", trials, _MIN_TRIALS, _MAX_TRIALS)
     seed = _check_integer("seed", seed, 0)
 
     b = setup.port_b

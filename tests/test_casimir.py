@@ -663,6 +663,15 @@ class TestEtaSweep:
         with pytest.raises(DomainError):
             eta_sweep(1e-7, 1e-6, 2.5, GOLD, 300.0)
 
+    @pytest.mark.parametrize("points", [10**6 + 1, 10**9])
+    def test_points_cap_checked_before_allocating(self, monkeypatch, points):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("the sweep allocated its lengths before the points check")
+
+        monkeypatch.setattr(casimir.np, "geomspace", no_allocation)
+        with pytest.raises(DomainError, match="points"):
+            eta_sweep(1e-7, 1e-6, points, PERFECT, 0.0)
+
     def test_one_zero_temperature_solve_per_point(self, monkeypatch):
         calls = []
         solve = casimir._zero_temperature_per_area

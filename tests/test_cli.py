@@ -175,6 +175,29 @@ class TestExitCodes:
         assert main(["motional", "--trajectory-file", "/nonexistent", "--area-m2", "1"]) == 2
         capsys.readouterr()
 
+    def test_points_cap_is_two(self, capsys, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("the sweep allocated its lengths before the points check")
+
+        monkeypatch.setattr(np, "geomspace", no_allocation)
+        assert main(["eta", "--lmin-um", "1", "--lmax-um", "2", "--points", "1000000000",
+                     "--material", "perfect", "--temperature-K", "0"]) == 2
+        assert "points" in capsys.readouterr().err
+
+    def test_failed_run_leaves_output_file_unchanged(self, capsys, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"earlier result\n")
+        argv = ["force", "--length-um", "-1", "--area-cm2", "1", "--output", str(path)]
+        assert main(argv) == 2
+        assert path.read_bytes() == b"earlier result\n"
+        capsys.readouterr()
+
+    def test_unwritable_output_is_two(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "out.json"
+        assert main(["ideal", "--length-um", "1", "--area-cm2", "1", "--output", str(path)]) == 2
+        assert not path.exists()
+        assert capsys.readouterr().out == ""
+
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()

@@ -36,6 +36,11 @@ class TestPerfectMirror:
         np.testing.assert_array_equal(r_te, [-1.0, -1.0])
         np.testing.assert_array_equal(r_tm, [1.0, 1.0])
 
+    @pytest.mark.parametrize("mirror", [PerfectMirror(), GOLD], ids=["perfect", "plasma"])
+    def test_shapes_that_do_not_broadcast(self, mirror):
+        with pytest.raises(DomainError, match=r"\(3,\).*\(2,\)"):
+            reflection_amplitude_imaginary(mirror, np.full(3, 1e15), np.full(2, 1e6))
+
 
 class TestPlasmaAmplitudes:
     def test_high_frequency_transparency_series(self):

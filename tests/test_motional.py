@@ -165,6 +165,15 @@ class TestTrajectory:
         with pytest.raises(DomainError, match=r"traj\.txt: time column must be finite"):
             Trajectory.from_file(str(path))
 
+    def test_from_file_non_finite_position_names_file(self, tmp_path):
+        t = 1e-3 * np.arange(20)
+        q = np.zeros_like(t)
+        q[3] = np.nan
+        path = tmp_path / "traj.txt"
+        np.savetxt(path, np.column_stack([t, q]))
+        with pytest.raises(DomainError, match=r"traj\.txt: position column must be finite"):
+            Trajectory.from_file(str(path))
+
     def test_positions_read_only(self):
         traj = Trajectory(np.zeros(11), 1e-3)
         with pytest.raises(ValueError):

@@ -143,6 +143,15 @@ class TestMonteCarlo:
         # numpy integers are accepted, as by the float checks
         assert monte_carlo_difference(setup_with(1.0), np.int64(2000), 1).trials == 2000
 
+    @pytest.mark.parametrize("trials", [10_000_001, 10**10])
+    def test_trials_cap_checked_before_sampling(self, monkeypatch, trials):
+        def no_sampling(seed):
+            raise AssertionError("a generator was made before the trials check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_sampling)
+        with pytest.raises(DomainError, match="trials"):
+            monte_carlo_difference(setup_with(1.0), trials, 1)
+
     def test_seed_required_to_be_int(self):
         for seed in ("abc", True, -1):
             with pytest.raises(DomainError, match="seed"):
