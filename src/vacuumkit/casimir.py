@@ -42,9 +42,12 @@ Both report a round-off bound of 32 eps as their error estimate.
 Every u-integral runs through one batched routine, ``_u_quadrature``: a
 vector-valued quadrature over u in [0, 80], one column per integral, each
 column held to the inner tolerance on its own after an exact power-of-two
-scaling.  At T = 0 each evaluation of the phi integrand at m nodes runs it
-once with 2m columns.  The Matsubara sum runs n = 0 alone and n >= 1 in
-blocks of 128 terms, two columns per term, on u = u_n + s, s in [0, 80].
+scaling.  At T = 0 each refinement step of the outer phi quadrature
+evaluates the phi integrand once, at the 48 nodes of the first panel or
+the 96 nodes of both halves of a bisected one, and so runs one
+u-quadrature with twice as many columns.  The Matsubara sum runs n = 0
+alone and n >= 1 in blocks of 128 terms, two columns per term, on
+u = u_n + s, s in [0, 80].
 
 Terms fall monotonically in n for every supported pair (r_TE depends on
 kappa = u/2L only, r_TM falls with xi, and the lower limit u_n rises) and
@@ -69,6 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,11 +84,6 @@ from .quadrature import _gauss_legendre_rule, adaptive_gauss_legendre
 
 # exp(-u) beyond this u is below 1.8e-35; irrelevant against the 1e-9 targets
 _U_SPAN = 80.0
-
-# one 32-point pass over [0, U_SPAN] sets the scale of every column
-_PROBE_X, _PROBE_W = _gauss_legendre_rule(32)
-_PROBE_U = 0.5 * _U_SPAN * (_PROBE_X + 1.0)
-_PROBE_W = 0.5 * _U_SPAN * _PROBE_W
 
 # inner tolerance is kept a decade and a half below the outer one so the
 # outer refinement never chases inner quadrature noise
@@ -124,16 +123,22 @@ FLAG_FEW_MATSUBARA = "few_matsubara_terms"
 # --- ideal closed forms ----------------------------------------------------
 
 
+def _length_power(L: float, n: int) -> float:
+    """L**n of a length L > 0; DomainError naming L where it underflows to 0."""
+    power = _check_positive("L", L) ** n
+    if power == 0.0:
+        raise DomainError(f"L={L!r} m is too small: L**{n} underflows to 0")
+    return power
+
+
 def ideal_force_per_area(L: float) -> float:
     """hbar c pi^2 / (240 L^4) [N/m^2]."""
-    L = _check_positive("L", L)
-    return HBAR * C * math.pi**2 / (240.0 * L**4)
+    return HBAR * C * math.pi**2 / (240.0 * _length_power(L, 4))
 
 
 def ideal_energy_per_area(L: float) -> float:
     """hbar c pi^2 / (720 L^3) [J/m^2]."""
-    L = _check_positive("L", L)
-    return HBAR * C * math.pi**2 / (720.0 * L**3)
+    return HBAR * C * math.pi**2 / (720.0 * _length_power(L, 3))
 
 
 def ideal_force(L: float, A: float) -> float:
@@ -252,6 +257,15 @@ def _relative(error, value) -> float:
     return float(np.max(error / scale))
 
 
+@lru_cache(maxsize=None)
+def _probe_rule():
+    """(nodes, weights) of one 32-point pass over [0, U_SPAN], which sets
+    the scale of every column; built on first use, as it needs
+    numpy.polynomial."""
+    x, w = _gauss_legendre_rule(32)
+    return 0.5 * _U_SPAN * (x + 1.0), 0.5 * _U_SPAN * w
+
+
 def _u_quadrature(f, names, context: str):
     """(value, absolute error) of every column of f over u in [0, U_SPAN].
 
@@ -263,7 +277,8 @@ def _u_quadrature(f, names, context: str):
     columns many decades smaller than the largest one.  A ConvergenceError
     names the failing column pairs by ``names(mask)`` and adds ``context``.
     """
-    _, exponent = np.frexp(_PROBE_W @ np.abs(f(_PROBE_U)))
+    probe_u, probe_w = _probe_rule()
+    _, exponent = np.frexp(probe_w @ np.abs(f(probe_u)))
     col_scale = np.ldexp(1.0, exponent)
 
     res = adaptive_gauss_legendre(lambda u: f(u) / col_scale, 0.0, _U_SPAN, rel_tol=_INNER_REL_TOL)
@@ -281,9 +296,9 @@ def _u_quadrature(f, names, context: str):
 def _zero_temperature_per_area(cavity: CavityReflection, L: float):
     """(E/A, F/A, relative error) at T = 0 by the (u, phi) double quadrature.
 
-    Each call of the phi-integrand at m nodes runs one batched
-    u-quadrature: columns j and m + j are the energy and force integrals
-    at phi_j.
+    Each call of the phi-integrand at m nodes (48 or 96, one outer
+    refinement step) runs one batched u-quadrature: columns j and m + j
+    are the energy and force integrals at phi_j.
     """
     worst_inner = [0.0]
 

@@ -13,7 +13,9 @@ for a loop amplitude supplied by the caller.
 Every amplitude method returns the pair (r_TE, r_TM) that each spectral
 sum needs; a plasma mirror forms kappa and kappa_m once for both.  A perfect
 mirror's pair is the scalars (-1.0, 1.0); ``reflection_amplitude_imaginary``
-checks its inputs and shapes the pair to them.
+checks its inputs and shapes the pair to them.  A cavity of two equal
+mirrors evaluates the mirror once and squares its pair, which gives the
+same bits as the product of two evaluations.
 """
 
 from __future__ import annotations
@@ -128,7 +130,8 @@ def reflection_amplitude_imaginary(model: Mirror, xi, k):
 @dataclass(frozen=True)
 class CavityReflection:
     """Mirror pair of a cavity; the loop amplitude is the product of the
-    two single-mirror amplitudes at identical mode coordinates."""
+    two single-mirror amplitudes at identical mode coordinates.  A pair of
+    equal mirrors evaluates the mirror once and squares its amplitudes."""
 
     mirror1: Mirror
     mirror2: Mirror
@@ -139,11 +142,15 @@ class CavityReflection:
 
     def amplitude_imaginary(self, xi, k):
         te1, tm1 = self.mirror1.amplitude_imaginary(xi, k)
+        if self.mirror2 == self.mirror1:
+            return te1 * te1, tm1 * tm1
         te2, tm2 = self.mirror2.amplitude_imaginary(xi, k)
         return te1 * te2, tm1 * tm2
 
     def amplitude_static(self, k):
         te1, tm1 = self.mirror1.amplitude_static(k)
+        if self.mirror2 == self.mirror1:
+            return te1 * te1, tm1 * tm1
         te2, tm2 = self.mirror2.amplitude_static(k)
         return te1 * te2, tm1 * tm2
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -46,7 +45,8 @@ def finite_difference_weights(derivative: int, offsets) -> np.ndarray:
     spacing dt.
 
     The two stencils used below are the centered 11-point rules
-    (offsets -5..5):
+    (offsets -5..5), stored as literals so that importing the module runs
+    no exact solve:
 
         first derivative, order 10:
             [-1/1260, 5/504, -5/84, 5/21, -5/6, 0,
@@ -55,6 +55,8 @@ def finite_difference_weights(derivative: int, offsets) -> np.ndarray:
             [-13/288, 19/36, -87/32, 13/2, -323/48, 0,
               323/48, -13/2, 87/32, -19/36, 13/288]
     """
+    from fractions import Fraction
+
     offsets = [int(o) for o in offsets]
     n = len(offsets)
     if not 0 <= derivative < n:
@@ -84,8 +86,12 @@ def finite_difference_weights(derivative: int, offsets) -> np.ndarray:
 
 STENCIL_OFFSETS = tuple(range(-5, 6))
 STENCIL_HALF_WIDTH = 5
-FIRST_DERIVATIVE_STENCIL = finite_difference_weights(1, STENCIL_OFFSETS)
-FIFTH_DERIVATIVE_STENCIL = finite_difference_weights(5, STENCIL_OFFSETS)
+FIRST_DERIVATIVE_STENCIL = np.array(
+    [-1 / 1260, 5 / 504, -5 / 84, 5 / 21, -5 / 6, 0.0, 5 / 6, -5 / 21, 5 / 84, -5 / 504, 1 / 1260]
+)
+FIFTH_DERIVATIVE_STENCIL = np.array(
+    [-13 / 288, 19 / 36, -87 / 32, 13 / 2, -323 / 48, 0.0, 323 / 48, -13 / 2, 87 / 32, -19 / 36, 13 / 288]
+)
 
 
 @dataclass(frozen=True)

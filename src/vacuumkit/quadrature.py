@@ -11,6 +11,11 @@ requested tolerance, or until every panel of each component that has not
 met it sits at its floor: bisection cannot lower a sum of floors, so the
 call then returns unconverged at once (QUADPACK's round-off exit, ier = 2).
 
+Each refinement step calls the integrand once: the first panel on its 48
+nodes, then both halves of the bisected panel, with both rules, on 96
+nodes, so a vector-valued integrand pays its per-call overhead once per
+step.
+
 Determinism: panel selection breaks ties on the left endpoint and an
 insertion counter, and the final accumulation runs over panels sorted by
 position, so identical inputs give bit-identical results regardless of
@@ -64,23 +69,39 @@ class QuadratureResult:
         return float(self.value[0])
 
 
-def _evaluate_panel(f: Callable, a: float, b: float):
-    """Integrate one panel with the embedded (16, 32) pair: (value, error
-    estimate, which components are above the round-off floor, evaluations)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (b + a)
-
+@lru_cache(maxsize=None)
+def _panel_rule():
+    """Nodes of one panel, the 16-point rule's before the 32-point rule's,
+    and the weights of both rules."""
     x_lo, w_lo = _gauss_legendre_rule(_ORDER)
     x_hi, w_hi = _gauss_legendre_rule(2 * _ORDER)
+    return np.concatenate([x_lo, x_hi]), w_lo, w_hi
 
-    v_lo = np.atleast_2d(np.asarray(f(mid + half * x_lo), dtype=float).T).T
-    v_hi = np.atleast_2d(np.asarray(f(mid + half * x_hi), dtype=float).T).T
 
-    coarse = half * (w_lo @ v_lo)
-    fine = half * (w_hi @ v_hi)
-    diff = np.abs(fine - coarse)
-    floor = _ROUNDOFF_FLOOR * half * (w_hi @ np.abs(v_hi))
-    return fine, np.maximum(diff, floor), diff > floor, 3 * _ORDER
+def _evaluate_panels(f: Callable, edges):
+    """Integrate the panels between consecutive ``edges`` with the embedded
+    (16, 32) pair in one call of f on the nodes of all of them, panel by
+    panel: per panel (value, error estimate, which components are above
+    the round-off floor)."""
+    nodes, w_lo, w_hi = _panel_rule()
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+
+    x = (mid[:, None] + half[:, None] * nodes).ravel()
+    # splitting the node axis makes no copy: each panel's rows keep the
+    # memory order f returned, as with one call per panel and rule
+    v = np.atleast_2d(np.asarray(f(x), dtype=float).T).T.reshape(half.size, nodes.size, -1)
+
+    out = []
+    for h, panel in zip(half, v):
+        v_lo, v_hi = panel[:_ORDER], panel[_ORDER:]
+        coarse = h * (w_lo @ v_lo)
+        fine = h * (w_hi @ v_hi)
+        diff = np.abs(fine - coarse)
+        floor = _ROUNDOFF_FLOOR * h * (w_hi @ np.abs(v_hi))
+        out.append((fine, np.maximum(diff, floor), diff > floor))
+    return out
 
 
 def adaptive_gauss_legendre(
@@ -117,11 +138,11 @@ def adaptive_gauss_legendre(
     if not (np.isfinite(a) and np.isfinite(b) and b > a):
         raise ValueError(f"invalid integration bounds [{a}, {b}]")
 
-    fine, err, above, n_eval = _evaluate_panel(f, a, b)
+    ((fine, err, above),) = _evaluate_panels(f, (a, b))
     panels = [(a, b, fine, err, above)]
     heap = [(-float(err.max()), a, 0, 0)]  # (-max err, left edge, counter, index)
     counter = 1
-    evaluations = n_eval
+    evaluations = 3 * _ORDER
 
     total = fine.copy()
     total_err = err.copy()
@@ -141,9 +162,8 @@ def adaptive_gauss_legendre(
         pa, pb, pv, pe, p_above = panels[idx]
         pm = 0.5 * (pa + pb)
 
-        left_v, left_e, left_above, n1 = _evaluate_panel(f, pa, pm)
-        right_v, right_e, right_above, n2 = _evaluate_panel(f, pm, pb)
-        evaluations += n1 + n2
+        (left_v, left_e, left_above), (right_v, right_e, right_above) = _evaluate_panels(f, (pa, pm, pb))
+        evaluations += 6 * _ORDER
 
         total += left_v + right_v - pv
         total_err += left_e + right_e - pe

@@ -267,6 +267,16 @@ class TestIdealClosedForms:
         with pytest.raises(DomainError):
             ideal_force(L, A)
 
+    def test_underflowing_power_of_L_is_a_domain_error(self):
+        # L**4 underflows to 0 below about 1e-81 m, L**3 below about 1e-108 m
+        with pytest.raises(DomainError, match="L=1e-90"):
+            ideal_force(1e-90, A_CM2)
+        assert ideal_energy(1e-90, A_CM2) > 0.0
+        with pytest.raises(DomainError, match="L=1e-120"):
+            ideal_energy(1e-120, A_CM2)
+        with pytest.raises(DomainError, match="L=1e-300"):
+            eta_sweep(1e-300, 1e-299, 2, PerfectMirror(), 0.0)
+
 
 class TestPerfectMirrorPath:
     def test_closed_form_result(self):

@@ -163,6 +163,22 @@ class TestExitCodes:
                      "--temperature-K", "-5"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ideal", "--length-um", "1e-300", "--area-cm2", "1"],
+            ["force", "--length-um", "1e-300", "--area-cm2", "1"],
+            ["psphere", "--radius-um", "1", "--length-um", "1e-300"],
+            ["eta", "--lmin-um", "1e-300", "--lmax-um", "1e-299", "--points", "2", "--material", "perfect"],
+        ],
+        ids=["ideal", "force", "psphere", "eta"],
+    )
+    def test_underflowing_length_is_two(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "underflows" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_unknown_material_is_two(self, capsys):
         assert main(["force", "--length-um", "1", "--area-cm2", "1", "--material", "x"]) == 2
         capsys.readouterr()

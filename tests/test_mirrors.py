@@ -198,6 +198,54 @@ class TestCavityReflection:
         assert CavityReflection(PerfectMirror(), PerfectMirror()).both_perfect
         assert not CavityReflection(GOLD, PerfectMirror()).both_perfect
 
+    @staticmethod
+    def _count_calls(monkeypatch, cls):
+        calls = []
+        for name in ("amplitude_imaginary", "amplitude_static"):
+            original = getattr(cls, name)
+
+            def counted(self, *args, _original=original, _name=name):
+                calls.append((_name, self))
+                return _original(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    def test_symmetric_pair_evaluates_its_mirror_once(self, monkeypatch):
+        xi = np.array([1e13, 3e14, 2e16])
+        k = np.array([[2e5], [2e6], [7e7]])
+        expected_te = GOLD.amplitude_imaginary(xi, k)[TE] * GOLD.amplitude_imaginary(xi, k)[TE]
+        expected_tm = GOLD.amplitude_imaginary(xi, k)[TM] * GOLD.amplitude_imaginary(xi, k)[TM]
+        static_te = GOLD.amplitude_static(k)[TE] * GOLD.amplitude_static(k)[TE]
+        calls = self._count_calls(monkeypatch, PlasmaMirror)
+        # an equal mirror, not the same object, also counts as symmetric
+        cavity = CavityReflection(GOLD, PlasmaMirror.from_wavelength(136e-9))
+        te, tm = cavity.amplitude_imaginary(xi, k)
+        assert calls == [("amplitude_imaginary", GOLD)]
+        np.testing.assert_array_equal(te, expected_te)
+        np.testing.assert_array_equal(tm, expected_tm)
+        calls.clear()
+        te, tm = cavity.amplitude_static(k)
+        assert calls == [("amplitude_static", GOLD)]
+        np.testing.assert_array_equal(te, static_te)
+        assert tm == 1.0
+
+    def test_unequal_pairs_evaluate_both_mirrors(self, monkeypatch):
+        other = PlasmaMirror.from_wavelength(1e-6)
+        plasma_calls = self._count_calls(monkeypatch, PlasmaMirror)
+        perfect_calls = self._count_calls(monkeypatch, PerfectMirror)
+        xi, k = 3e14, 2e6
+        te, tm = CavityReflection(GOLD, PerfectMirror()).amplitude_imaginary(xi, k)
+        assert plasma_calls == [("amplitude_imaginary", GOLD)]
+        assert perfect_calls == [("amplitude_imaginary", PerfectMirror())]
+        assert (te, tm) == (-GOLD.amplitude_imaginary(xi, k)[TE], GOLD.amplitude_imaginary(xi, k)[TM])
+        plasma_calls.clear()
+        te, tm = CavityReflection(GOLD, other).amplitude_imaginary(xi, k)
+        assert plasma_calls == [("amplitude_imaginary", GOLD), ("amplitude_imaginary", other)]
+        plasma_calls.clear()
+        CavityReflection(GOLD, other).amplitude_static(k)
+        assert plasma_calls == [("amplitude_static", GOLD), ("amplitude_static", other)]
+
 
 class TestMaterialPresets:
     def test_defaults(self):

@@ -17,6 +17,7 @@ from vacuumkit import (
     thermal_susceptibility,
     vacuum_susceptibility,
 )
+from vacuumkit import motional
 from vacuumkit.constants import C, HBAR
 
 VACUUM_COEF = HBAR / (60.0 * math.pi**2 * C**4)
@@ -112,6 +113,13 @@ class TestStencils:
             [-13 / 288, 19 / 36, -87 / 32, 13 / 2, -323 / 48, 0, 323 / 48, -13 / 2, 87 / 32, -19 / 36, 13 / 288]
         )
         np.testing.assert_allclose(w, expected, rtol=1e-15, atol=1e-18)
+
+    @pytest.mark.parametrize("derivative,name", [(1, "FIRST_DERIVATIVE_STENCIL"), (5, "FIFTH_DERIVATIVE_STENCIL")])
+    def test_stored_stencils_equal_the_exact_solve(self, derivative, name):
+        # the module stores its stencils as literals; the exact solve must give the same bits
+        stored = getattr(motional, name)
+        solved = finite_difference_weights(derivative, motional.STENCIL_OFFSETS)
+        np.testing.assert_array_equal(solved.view(np.int64), stored.view(np.int64))
 
     @pytest.mark.parametrize("power,expected", [(5, math.factorial(5)), (6, 0.0)])
     def test_monomial_t5_t6_at_origin(self, power, expected):

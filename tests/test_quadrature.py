@@ -96,6 +96,27 @@ def test_deterministic_repeat():
     assert a.error[0] == b.error[0]
 
 
+@pytest.mark.parametrize(
+    "f",
+    [lambda x: np.cos(7 * x), lambda x: np.stack([np.sin(13 * x), np.exp(-x)], axis=-1)],
+    ids=["scalar", "vector"],
+)
+def test_one_integrand_call_per_refinement_step(f):
+    # the first panel is one call on its 48 nodes; every bisection after it
+    # is one call on the 96 nodes of both halves
+    sizes = []
+
+    def counting(x):
+        sizes.append(x.size)
+        return f(x)
+
+    res = adaptive_gauss_legendre(counting, 0.0, 5.0, rel_tol=1e-11)
+    assert res.panels > 1
+    assert len(sizes) == res.panels
+    assert sizes == [48] + [96] * (res.panels - 1)
+    assert res.evaluations == 96 * res.panels - 48 == sum(sizes)
+
+
 def test_bad_bounds():
     with pytest.raises(ValueError):
         adaptive_gauss_legendre(lambda x: x, 1.0, 0.0)
