@@ -43,11 +43,17 @@ Every u-integral runs through one batched routine, ``_u_quadrature``: a
 vector-valued quadrature over u in [0, 80], one column per integral, each
 column held to the inner tolerance on its own after an exact power-of-two
 scaling.  At T = 0 each refinement step of the outer phi quadrature
-evaluates the phi integrand once, at the 48 nodes of the first panel or
-the 96 nodes of both halves of a bisected one, and so runs one
+evaluates the phi integrand once, at the 21 nodes of the first panel or
+the 42 nodes of both halves of a bisected one, and so runs one
 u-quadrature with twice as many columns.  The Matsubara sum runs n = 0
 alone and n >= 1 in blocks of 128 terms, two columns per term, on
 u = u_n + s, s in [0, 80].
+
+The n = 0 kernels have a log singularity at u = 0.  Every supported pair
+reflects fully there (r_p = 1 at k = 0), so each kernel splits into that
+of a perfect pair, which integrates to 2 zeta(3) (energy) and 4 zeta(3)
+(force) summed over polarizations, and a remainder that is smooth at
+u = 0 (``_static_remainder``); only the remainder is integrated.
 
 Terms fall monotonically in n for every supported pair (r_TE depends on
 kappa = u/2L only, r_TM falls with xi, and the lower limit u_n rises) and
@@ -72,7 +78,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -80,7 +85,7 @@ from .constants import C, HBAR, K_B
 from .errors import ConvergenceError, DomainError, _check_integer, _check_positive
 from .mirrors import CavityReflection, Mirror, PerfectMirror
 from .planck import ThermalState
-from .quadrature import _gauss_legendre_rule, adaptive_gauss_legendre
+from .quadrature import _KRONROD_NODES, _KRONROD_WEIGHTS, adaptive_gauss_legendre
 
 # exp(-u) beyond this u is below 1.8e-35; irrelevant against the 1e-9 targets
 _U_SPAN = 80.0
@@ -105,6 +110,9 @@ _ERROR_CEILING = 1e-8
 _MAX_POINTS = 1_000_000
 
 _ZETA3 = 1.2020569031595942
+# Int_0^inf du u G_E and Int_0^inf du u^2 G_F of a perfect pair at n = 0,
+# summed over both polarizations
+_PERFECT_STATIC = np.array([2.0 * _ZETA3, 4.0 * _ZETA3])
 # t = 2 k_B T L / (hbar c) at and below which a perfect pair takes the
 # low-temperature form; above it the Lambert series needs at most 74 terms
 _LOW_T_SWITCH = 0.087
@@ -124,21 +132,33 @@ FLAG_FEW_MATSUBARA = "few_matsubara_terms"
 
 
 def _length_power(L: float, n: int) -> float:
-    """L**n of a length L > 0; DomainError naming L where it underflows to 0."""
-    power = _check_positive("L", L) ** n
+    """L**n of a length L > 0; DomainError naming L where it overflows or
+    underflows to 0."""
+    L = _check_positive("L", L)
+    try:
+        power = L**n
+    except OverflowError:
+        raise DomainError(f"L={L!r} m is too large: L**{n} overflows") from None
     if power == 0.0:
         raise DomainError(f"L={L!r} m is too small: L**{n} underflows to 0")
     return power
 
 
+def _nonzero(value: float, L: float) -> float:
+    """A closed form in 1/L**n; DomainError naming L where it underflows to 0."""
+    if value == 0.0:
+        raise DomainError(f"L={float(L)!r} m is too large: the closed form underflows to 0")
+    return value
+
+
 def ideal_force_per_area(L: float) -> float:
     """hbar c pi^2 / (240 L^4) [N/m^2]."""
-    return HBAR * C * math.pi**2 / (240.0 * _length_power(L, 4))
+    return _nonzero(HBAR * C * math.pi**2 / (240.0 * _length_power(L, 4)), L)
 
 
 def ideal_energy_per_area(L: float) -> float:
     """hbar c pi^2 / (720 L^3) [J/m^2]."""
-    return HBAR * C * math.pi**2 / (720.0 * _length_power(L, 3))
+    return _nonzero(HBAR * C * math.pi**2 / (720.0 * _length_power(L, 3)), L)
 
 
 def ideal_force(L: float, A: float) -> float:
@@ -175,7 +195,7 @@ class CavityConfig:
     @property
     def plane_limit_ok(self) -> bool:
         """Large-plate condition A >> L^2, checked as A > 100 L^2."""
-        return self.A > 100.0 * self.L**2
+        return self.A > 100.0 * _length_power(self.L, 2)
 
     @classmethod
     def symmetric(cls, L: float, A: float, temperature: float, mirror: Mirror) -> "CavityConfig":
@@ -250,6 +270,27 @@ def _kernels(amplitudes, u):
     return g_e, g_f
 
 
+def _static_remainder(amplitudes, u):
+    """The n = 0 energy and force kernels of the static loop amplitudes
+    ``(r_TE, r_TM)`` less those of a perfect pair.
+
+    Every supported pair has r_p = 1 at k = 0.  With d = 1 - r_p each
+    polarization's kernel splits exactly into its perfect-pair part and a
+    remainder that stays finite as u -> 0, where d/u does:
+
+        -ln(1 - r e^-u) = -ln(1 - e^-u) - log1p(d / expm1(u)),
+        r e^-u / (1 - r e^-u) = 1 / expm1(u) - d / ((expm1(u) + d)(-expm1(-u))).
+    """
+    em1 = np.expm1(u)
+    one_minus = -np.expm1(-u)
+    g_e = g_f = 0.0
+    for r in amplitudes:
+        d = 1.0 - r
+        g_e = g_e - np.log1p(d / em1)
+        g_f = g_f - d / ((em1 + d) * one_minus)
+    return g_e, g_f
+
+
 def _relative(error, value) -> float:
     """Largest error / |value| over components; a zero value counts as 1."""
     scale = np.abs(value)
@@ -257,13 +298,9 @@ def _relative(error, value) -> float:
     return float(np.max(error / scale))
 
 
-@lru_cache(maxsize=None)
-def _probe_rule():
-    """(nodes, weights) of one 32-point pass over [0, U_SPAN], which sets
-    the scale of every column; built on first use, as it needs
-    numpy.polynomial."""
-    x, w = _gauss_legendre_rule(32)
-    return 0.5 * _U_SPAN * (x + 1.0), 0.5 * _U_SPAN * w
+# one 21-point Kronrod pass over [0, U_SPAN], which sets the scale of every column
+_PROBE_U = 0.5 * _U_SPAN * (_KRONROD_NODES + 1.0)
+_PROBE_W = 0.5 * _U_SPAN * _KRONROD_WEIGHTS
 
 
 def _u_quadrature(f, names, context: str):
@@ -277,8 +314,7 @@ def _u_quadrature(f, names, context: str):
     columns many decades smaller than the largest one.  A ConvergenceError
     names the failing column pairs by ``names(mask)`` and adds ``context``.
     """
-    probe_u, probe_w = _probe_rule()
-    _, exponent = np.frexp(probe_w @ np.abs(f(probe_u)))
+    _, exponent = np.frexp(_PROBE_W @ np.abs(f(_PROBE_U)))
     col_scale = np.ldexp(1.0, exponent)
 
     res = adaptive_gauss_legendre(lambda u: f(u) / col_scale, 0.0, _U_SPAN, rel_tol=_INNER_REL_TOL)
@@ -296,7 +332,7 @@ def _u_quadrature(f, names, context: str):
 def _zero_temperature_per_area(cavity: CavityReflection, L: float):
     """(E/A, F/A, relative error) at T = 0 by the (u, phi) double quadrature.
 
-    Each call of the phi-integrand at m nodes (48 or 96, one outer
+    Each call of the phi-integrand at m nodes (21 or 42, one outer
     refinement step) runs one batched u-quadrature: columns j and m + j
     are the energy and force integrals at phi_j.
     """
@@ -347,10 +383,13 @@ def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
     context = f"L={L:.3e} m, T={temperature} K"
 
     def static_term(u):
-        g_e, g_f = _kernels(cavity.amplitude_static((0.5 / L) * u), u)
+        g_e, g_f = _static_remainder(cavity.amplitude_static((0.5 / L) * u), u)
         return np.stack([u * g_e, u * u * g_f], axis=-1)
 
+    # n = 0: the perfect-pair parts in closed form (their share past the
+    # u-cut is below 1e-30), and the smooth remainder by quadrature
     value, error = _u_quadrature(static_term, lambda bad: "n=0", context)
+    value = value + _PERFECT_STATIC
     totals, quad_err, tail = 0.5 * value, 0.5 * error, np.zeros(2)
     mags = np.max(np.abs(totals), keepdims=True)
 
@@ -462,6 +501,9 @@ def _per_area(mirrors: CavityReflection, L: float, temperature: float):
     ConvergenceError, naming the path, L and T, when the error estimate
     exceeds the ceiling.
     """
+    # DomainError where L**4, the highest power any path divides by, or the
+    # smallest closed form leaves the float range
+    ideal_force_per_area(L)
     few = False
     if temperature == 0.0 and mirrors.both_perfect:
         path = "closed form"

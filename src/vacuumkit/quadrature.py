@@ -1,20 +1,22 @@
-"""Globally adaptive Gauss-Legendre quadrature with embedded error estimates.
+"""Globally adaptive Gauss-Kronrod quadrature with embedded error estimates.
 
-Each panel is integrated with a 16-point rule and a 32-point rule.  The
-panel error estimate is the larger of the difference between the two and
-the round-off floor 50 eps Int|f| of the finer rule (QUADPACK's resabs
-term, Piessens et al. 1983); it is an upper bound for the finer rule on
-smooth integrands, also once the rule difference has sunk into
-floating-point noise.  The panel with the largest estimate is bisected
-until every component of the (possibly vector-valued) integral meets the
-requested tolerance, or until every panel of each component that has not
-met it sits at its floor: bisection cannot lower a sum of floors, so the
-call then returns unconverged at once (QUADPACK's round-off exit, ier = 2).
+Each panel is integrated with the nested Gauss-Kronrod (10, 21) pair: the
+21-point Kronrod rule gives the value, and the 10-point Gauss rule on
+every other of its nodes the comparison.  The panel error estimate is the
+larger of |K21 - G10| and the round-off floor 50 eps K21 Int|f| (QUADPACK's
+resabs term, Piessens et al. 1983); it is an upper bound for K21 on smooth
+integrands, also once the rule difference has sunk into floating-point
+noise.  QUADPACK's (200 err)^1.5 rescaling is not applied, as the scaled
+estimate would no longer bound the error.  The panel with the largest
+estimate is bisected until every component of the (possibly vector-valued)
+integral meets the requested tolerance, or until every panel of each
+component that has not met it sits at its floor: bisection cannot lower a
+sum of floors, so the call then returns unconverged at once (QUADPACK's
+round-off exit, ier = 2).
 
-Each refinement step calls the integrand once: the first panel on its 48
-nodes, then both halves of the bisected panel, with both rules, on 96
-nodes, so a vector-valued integrand pays its per-call overhead once per
-step.
+Each refinement step calls the integrand once: the first panel on its 21
+nodes, then both halves of the bisected panel on 42 nodes, so a
+vector-valued integrand pays its per-call overhead once per step.
 
 Determinism: panel selection breaks ties on the left endpoint and an
 insertion counter, and the final accumulation runs over panels sorted by
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -36,17 +37,50 @@ import numpy as np
 # is allowed below 50 eps times the panel integral of |f|
 _ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
 
-# node count of the coarse rule of the embedded (16, 32) pair
-_ORDER = 16
-
 # hard refinement limit; on hit the result is returned with converged=False
 _MAX_PANELS = 512
 
+# the Gauss-Kronrod (10, 21) pair on [-1, 1] (QUADPACK's qk21), from x = 0
+# outwards; the rules are symmetric, and the Gauss nodes are the Kronrod
+# nodes at odd index
+_KRONROD_X_HALF = (
+    0.0,
+    0.148874338981631210884826001129720,
+    0.294392862701460198131126603103866,
+    0.433395394129247190799265943165784,
+    0.562757134668604683339000099272694,
+    0.679409568299024406234327365114874,
+    0.780817726586416897063717578345042,
+    0.865063366688984510732096688423493,
+    0.930157491355708226001207180059508,
+    0.973906528517171720077964012084452,
+    0.995657163025808080735527280689003,
+)
+_KRONROD_W_HALF = (
+    0.149445554002916905664936468389821,
+    0.147739104901338491374841515972068,
+    0.142775938577060080797094273138717,
+    0.134709217311473325928054001771707,
+    0.123491976262065851077958109831074,
+    0.109387158802297641899210590325805,
+    0.093125454583697605535065465083366,
+    0.075039674810919952767043140916190,
+    0.054755896574351996031381300244580,
+    0.032558162307964727478818972459390,
+    0.011694638867371874278064396062192,
+)
+_GAUSS_W_HALF = (
+    0.295524224714752870173892994651338,
+    0.269266719309996355091226921569469,
+    0.219086362515982043995534934228163,
+    0.149451349150580593145776339657697,
+    0.066671344308688137593568809893332,
+)
 
-@lru_cache(maxsize=None)
-def _gauss_legendre_rule(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+# ascending nodes and Kronrod weights, and the Gauss weights of nodes 1, 3, ..., 19
+_KRONROD_NODES = np.concatenate([-np.array(_KRONROD_X_HALF[:0:-1]), _KRONROD_X_HALF])
+_KRONROD_WEIGHTS = np.array(_KRONROD_W_HALF[:0:-1] + _KRONROD_W_HALF)
+_GAUSS_WEIGHTS = np.array(_GAUSS_W_HALF[::-1] + _GAUSS_W_HALF)
 
 
 @dataclass
@@ -55,7 +89,9 @@ class QuadratureResult:
 
     value and error have one entry per integrand component; error entries
     are absolute upper estimates, summed over panels, of
-    max(|fine - coarse|, 50 eps Int|f|) from the embedded rule pair.
+    max(|K21 - G10|, 50 eps K21 Int|f|) from the nested rule pair.
+    evaluations is 42 panels - 21: 21 nodes for the first panel and 42
+    for both halves of every bisected one.
     """
 
     value: np.ndarray
@@ -69,38 +105,27 @@ class QuadratureResult:
         return float(self.value[0])
 
 
-@lru_cache(maxsize=None)
-def _panel_rule():
-    """Nodes of one panel, the 16-point rule's before the 32-point rule's,
-    and the weights of both rules."""
-    x_lo, w_lo = _gauss_legendre_rule(_ORDER)
-    x_hi, w_hi = _gauss_legendre_rule(2 * _ORDER)
-    return np.concatenate([x_lo, x_hi]), w_lo, w_hi
-
-
 def _evaluate_panels(f: Callable, edges):
-    """Integrate the panels between consecutive ``edges`` with the embedded
-    (16, 32) pair in one call of f on the nodes of all of them, panel by
+    """Integrate the panels between consecutive ``edges`` with the nested
+    (10, 21) pair in one call of f on the nodes of all of them, panel by
     panel: per panel (value, error estimate, which components are above
     the round-off floor)."""
-    nodes, w_lo, w_hi = _panel_rule()
     edges = np.asarray(edges, dtype=float)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
 
-    x = (mid[:, None] + half[:, None] * nodes).ravel()
+    x = (mid[:, None] + half[:, None] * _KRONROD_NODES).ravel()
     # splitting the node axis makes no copy: each panel's rows keep the
-    # memory order f returned, as with one call per panel and rule
-    v = np.atleast_2d(np.asarray(f(x), dtype=float).T).T.reshape(half.size, nodes.size, -1)
+    # memory order f returned, as with one call per panel
+    v = np.atleast_2d(np.asarray(f(x), dtype=float).T).T.reshape(half.size, _KRONROD_NODES.size, -1)
 
     out = []
     for h, panel in zip(half, v):
-        v_lo, v_hi = panel[:_ORDER], panel[_ORDER:]
-        coarse = h * (w_lo @ v_lo)
-        fine = h * (w_hi @ v_hi)
-        diff = np.abs(fine - coarse)
-        floor = _ROUNDOFF_FLOOR * h * (w_hi @ np.abs(v_hi))
-        out.append((fine, np.maximum(diff, floor), diff > floor))
+        kronrod = h * (_KRONROD_WEIGHTS @ panel)
+        gauss = h * (_GAUSS_WEIGHTS @ panel[1::2])
+        diff = np.abs(kronrod - gauss)
+        floor = _ROUNDOFF_FLOOR * h * (_KRONROD_WEIGHTS @ np.abs(panel))
+        out.append((kronrod, np.maximum(diff, floor), diff > floor))
     return out
 
 
@@ -138,13 +163,13 @@ def adaptive_gauss_legendre(
     if not (np.isfinite(a) and np.isfinite(b) and b > a):
         raise ValueError(f"invalid integration bounds [{a}, {b}]")
 
-    ((fine, err, above),) = _evaluate_panels(f, (a, b))
-    panels = [(a, b, fine, err, above)]
+    ((val, err, above),) = _evaluate_panels(f, (a, b))
+    panels = [(a, b, val, err, above)]
     heap = [(-float(err.max()), a, 0, 0)]  # (-max err, left edge, counter, index)
     counter = 1
-    evaluations = 3 * _ORDER
+    evaluations = _KRONROD_NODES.size
 
-    total = fine.copy()
+    total = val.copy()
     total_err = err.copy()
     # panels above their round-off floor, per component; an exact count, where
     # running float sums of errors and floors would differ by round-off
@@ -163,7 +188,7 @@ def adaptive_gauss_legendre(
         pm = 0.5 * (pa + pb)
 
         (left_v, left_e, left_above), (right_v, right_e, right_above) = _evaluate_panels(f, (pa, pm, pb))
-        evaluations += 6 * _ORDER
+        evaluations += 2 * _KRONROD_NODES.size
 
         total += left_v + right_v - pv
         total_err += left_e + right_e - pe

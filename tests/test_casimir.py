@@ -277,6 +277,26 @@ class TestIdealClosedForms:
         with pytest.raises(DomainError, match="L=1e-300"):
             eta_sweep(1e-300, 1e-299, 2, PerfectMirror(), 0.0)
 
+    def test_overflowing_power_of_L_is_a_domain_error(self):
+        # L**4 overflows above about 1e77 m, L**3 above 5.6e102 m, L**2 above 1.3e154 m
+        with pytest.raises(DomainError, match=r"L=1e\+80 m is too large: L\*\*4"):
+            ideal_force(1e80, A_CM2)
+        assert ideal_energy(1e80, A_CM2) > 0.0
+        with pytest.raises(DomainError, match=r"L=1e\+120 m is too large: L\*\*3"):
+            ideal_energy(1e120, A_CM2)
+        with pytest.raises(DomainError, match=r"L=1e\+200 m is too large: L\*\*2"):
+            cavity(1e200, 0.0, PERFECT).plane_limit_ok
+        # below the overflow the closed forms themselves underflow to 0
+        with pytest.raises(DomainError, match=r"L=1e\+76 m is too large: the closed form underflows"):
+            ideal_force(1e76, A_CM2)
+        with pytest.raises(DomainError, match=r"L=1e\+100 m is too large: the closed form underflows"):
+            ideal_energy(1e100, A_CM2)
+        # the quadrature paths check L before they start
+        with pytest.raises(DomainError, match=r"L=1e\+100 m is too large"):
+            real_mirror_force(cavity(1e100, 0.0, GOLD))
+        with pytest.raises(DomainError, match=r"L=1e\+100 m is too large"):
+            thermal_force(cavity(1e100, 300.0, GOLD))
+
 
 class TestPerfectMirrorPath:
     def test_closed_form_result(self):
@@ -547,6 +567,72 @@ class TestMatsubaraSum:
         monkeypatch.setattr(casimir, "_MATSUBARA_MAX_TERMS", 50)
         with pytest.raises(ConvergenceError, match=rf"exceeded 50 terms \({re.escape(text)}\)"):
             thermal_force(cavity(L, T, GOLD))
+
+
+def mpmath_static_integrals(L, plasma_wavelength, partner_perfect):
+    """(Int u G_E, Int u^2 G_F) of the n = 0 term of a plasma mirror facing
+    an equal one or a perfect one, on the unsplit kernels at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        kp = 2 * mpmath.pi / mpmath.mpf(plasma_wavelength)
+        L = mpmath.mpf(L)
+
+        def kernel(u, force):
+            k = u / (2 * L)
+            r = (k - mpmath.sqrt(k * k + kp * kp)) / (k + mpmath.sqrt(k * k + kp * kp))
+            total = 0
+            for r_p in (-r if partner_perfect else r * r, 1):
+                x = r_p * mpmath.exp(-u)
+                total += x / (1 - x) if force else -mpmath.log1p(-x)
+            return total
+
+        points = [0, 0.01, 0.1, 1, 10, 100]  # exp(-100) < 1e-43
+        return (mpmath.quad(lambda u: u * kernel(u, False), points),
+                mpmath.quad(lambda u: u * u * kernel(u, True), points))
+
+
+class TestStaticTerm:
+    """The n = 0 term: perfect-pair parts in closed form plus a smooth
+    remainder by quadrature."""
+
+    PAIRS = [
+        CavityReflection(PERFECT, PERFECT),
+        CavityReflection(GOLD, GOLD),
+        CavityReflection(GOLD, PERFECT),
+        CavityReflection(PERFECT, GOLD),
+        CavityReflection(GOLD, PlasmaMirror.from_wavelength(231e-9)),
+    ]
+
+    @pytest.mark.parametrize("k", [0.0, np.zeros(3)], ids=["scalar", "array"])
+    @pytest.mark.parametrize("pair", PAIRS, ids=["perfect", "gold", "gold-perfect", "perfect-gold", "gold-other"])
+    def test_every_pair_reflects_fully_at_zero_k(self, pair, k):
+        # the precondition of the split: r_p(k = 0) = 1 for both polarizations
+        te, tm = pair.amplitude_static(k)
+        assert np.all(np.asarray(te) == 1.0) and np.all(np.asarray(tm) == 1.0)
+
+    def test_perfect_pair_remainder_is_exactly_zero(self):
+        u = np.geomspace(1e-12, 80.0, 200)
+        pair = CavityReflection(PERFECT, PERFECT)
+        g_e, g_f = casimir._static_remainder(pair.amplitude_static(u / 2e-6), u)
+        assert np.all(g_e == 0.0) and np.all(g_f == 0.0)
+
+    @pytest.mark.parametrize(
+        "L, partner_perfect",
+        [(1e-8, False), (1e-6, False), (1e-6, True)],
+        ids=["gold-10nm", "gold-1um", "gold-perfect-1um"],
+    )
+    def test_against_mpmath_of_unsplit_kernels(self, L, partner_perfect):
+        # du = 200 puts every term n >= 1 past the u-cut: the sum is its n = 0 term
+        T = 200.0 * HBAR * C / (4.0 * math.pi * K_B * L)
+        pair = CavityReflection(GOLD, PERFECT if partner_perfect else GOLD)
+        e_per_area, f_per_area, rel_err, contributing = casimir._matsubara_per_area(pair, L, T)
+        assert contributing == 1
+        i_e, i_f = mpmath_static_integrals(L, 136e-9, partner_perfect)
+        half_prefactor = 0.5 * K_B * T / (8.0 * math.pi)
+        for value, integral, power in ((e_per_area, i_e, 2), (f_per_area, i_f, 3)):
+            error = abs(value / float(half_prefactor * integral / L**power) - 1.0)
+            assert error <= rel_err
+            assert error <= 1e-14  # exact to round-off
 
 
 class TestPerfectPairThermalPath:

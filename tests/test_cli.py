@@ -179,6 +179,23 @@ class TestExitCodes:
         assert "underflows" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ideal", "--length-um", "1e300", "--area-cm2", "1"],
+            ["force", "--length-um", "1e100", "--area-cm2", "1"],
+            ["force", "--length-um", "1e82", "--area-cm2", "1"],  # L**4 fits, F/A underflows
+            ["force", "--length-um", "1e100", "--area-cm2", "1", "--material", "gold", "--temperature-K", "300"],
+            ["psphere", "--radius-um", "1", "--length-um", "1e100", "--material", "gold"],
+        ],
+        ids=["ideal", "force", "force-underflow", "force-gold-300K", "psphere-gold"],
+    )
+    def test_overflowing_length_is_two(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "too large" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_unknown_material_is_two(self, capsys):
         assert main(["force", "--length-um", "1", "--area-cm2", "1", "--material", "x"]) == 2
         capsys.readouterr()

@@ -71,11 +71,12 @@ def test_error_estimate_bounds_oscillatory_integrals(f, antiderivative, k, b, re
 
 
 def test_tolerance_below_roundoff_floor_stops_early():
-    # every panel reaches its floor 50 eps Int|f| long before 512 panels;
-    # bisection cannot lower that sum, so the call gives up there
+    # every panel reaches its floor 50 eps Int|f| long before 512 panels
+    # (at about 70); bisection cannot lower that sum, so the call gives up
+    # there, where without the exit it would bisect on to the panel limit
     res = adaptive_gauss_legendre(lambda x: np.cos(29 * x), 0.0, 10.0, rel_tol=1e-12)
     assert not res.converged
-    assert res.panels <= 32
+    assert res.panels <= quadrature._MAX_PANELS // 4
     assert abs(res.scalar - math.sin(290.0) / 29.0) <= res.error[0]
 
 
@@ -102,8 +103,8 @@ def test_deterministic_repeat():
     ids=["scalar", "vector"],
 )
 def test_one_integrand_call_per_refinement_step(f):
-    # the first panel is one call on its 48 nodes; every bisection after it
-    # is one call on the 96 nodes of both halves
+    # the first panel is one call on its 21 nodes; every bisection after it
+    # is one call on the 42 nodes of both halves
     sizes = []
 
     def counting(x):
@@ -113,8 +114,37 @@ def test_one_integrand_call_per_refinement_step(f):
     res = adaptive_gauss_legendre(counting, 0.0, 5.0, rel_tol=1e-11)
     assert res.panels > 1
     assert len(sizes) == res.panels
-    assert sizes == [48] + [96] * (res.panels - 1)
-    assert res.evaluations == 96 * res.panels - 48 == sum(sizes)
+    assert sizes == [21] + [42] * (res.panels - 1)
+    assert res.evaluations == 42 * res.panels - 21 == sum(sizes)
+
+
+def test_rule_literals_match_scipy_gauss_kronrod():
+    rules = pytest.importorskip("scipy.integrate._rules")
+    kronrod = rules.GaussKronrodQuadrature(21)
+    # scipy keeps the Kronrod rule as literals and computes the Gauss rule,
+    # whose outermost weight is 1.5e-14 off the (correct) QUADPACK literal
+    for (ours_x, ours_w), rule, rtol in (
+        ((quadrature._KRONROD_NODES, quadrature._KRONROD_WEIGHTS), kronrod, 1e-15),
+        ((quadrature._KRONROD_NODES[1::2], quadrature._GAUSS_WEIGHTS), kronrod.gauss, 5e-14),
+    ):
+        x, w = (np.asarray(a) for a in rule.nodes_and_weights)
+        order = np.argsort(x)
+        np.testing.assert_allclose(ours_x, x[order], rtol=rtol, atol=1e-16)
+        np.testing.assert_allclose(ours_w, w[order], rtol=rtol)
+
+
+@pytest.mark.parametrize(
+    "nodes, weights, degree",
+    [
+        (quadrature._KRONROD_NODES, quadrature._KRONROD_WEIGHTS, 31),
+        (quadrature._KRONROD_NODES[1::2], quadrature._GAUSS_WEIGHTS, 19),
+    ],
+    ids=["K21", "G10"],
+)
+def test_rules_integrate_monomials_exactly(nodes, weights, degree):
+    for k in range(degree + 1):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(weights @ nodes**k - exact) <= 8 * np.finfo(float).eps
 
 
 def test_bad_bounds():
