@@ -41,13 +41,12 @@ Both report a round-off bound of 32 eps as their error estimate.
 
 Every u-integral runs through one batched routine, ``_u_quadrature``: a
 vector-valued quadrature over u in [0, 80], one column per integral, each
-column held to the inner tolerance on its own after an exact power-of-two
-scaling.  At T = 0 each refinement step of the outer phi quadrature
-evaluates the phi integrand once, at the 21 nodes of the first panel or
-the 42 nodes of both halves of a bisected one, and so runs one
-u-quadrature with twice as many columns.  The Matsubara sum runs n = 0
-alone and n >= 1 in blocks of 128 terms, two columns per term, on
-u = u_n + s, s in [0, 80].
+column held to the inner tolerance on its own.  At T = 0 each refinement
+step of the outer phi quadrature evaluates the phi integrand once, at the
+21 nodes of the first panel or the 42 nodes of both halves of a bisected
+one, and so runs one u-quadrature with twice as many columns.  The
+Matsubara sum runs n = 0 alone and n >= 1 in blocks of 128 terms, two
+columns per term, on u = u_n + s, s in [0, 80].
 
 The n = 0 kernels have a log singularity at u = 0.  Every supported pair
 reflects fully there (r_p = 1 at k = 0), so each kernel splits into that
@@ -85,7 +84,7 @@ from .constants import C, HBAR, K_B
 from .errors import ConvergenceError, DomainError, _check_integer, _check_positive
 from .mirrors import CavityReflection, Mirror, PerfectMirror
 from .planck import ThermalState
-from .quadrature import _KRONROD_NODES, _KRONROD_WEIGHTS, adaptive_gauss_legendre
+from .quadrature import adaptive_gauss_legendre
 
 # exp(-u) beyond this u is below 1.8e-35; irrelevant against the 1e-9 targets
 _U_SPAN = 80.0
@@ -298,35 +297,23 @@ def _relative(error, value) -> float:
     return float(np.max(error / scale))
 
 
-# one 21-point Kronrod pass over [0, U_SPAN], which sets the scale of every column
-_PROBE_U = 0.5 * _U_SPAN * (_KRONROD_NODES + 1.0)
-_PROBE_W = 0.5 * _U_SPAN * _KRONROD_WEIGHTS
-
-
 def _u_quadrature(f, names, context: str):
     """(value, absolute error) of every column of f over u in [0, U_SPAN].
 
     f maps nodes of shape (q,) to values of shape (q, 2c): c energy
     columns, then the c force columns.  Each column meets the inner
-    tolerance on its own: it is divided by a power of two near its
-    integral of |f| before the quadrature and multiplied back after,
-    exactly, so that panel selection by absolute error does not starve
-    columns many decades smaller than the largest one.  A ConvergenceError
-    names the failing column pairs by ``names(mask)`` and adds ``context``.
+    tolerance on its own, as the quadrature ranks panels per column in
+    units of its own integral of |f|.  A ConvergenceError names the
+    failing column pairs by ``names(mask)`` and adds ``context``.
     """
-    _, exponent = np.frexp(_PROBE_W @ np.abs(f(_PROBE_U)))
-    col_scale = np.ldexp(1.0, exponent)
-
-    res = adaptive_gauss_legendre(lambda u: f(u) / col_scale, 0.0, _U_SPAN, rel_tol=_INNER_REL_TOL)
-    value = res.value * col_scale
-    error = res.error * col_scale
+    res = adaptive_gauss_legendre(f, 0.0, _U_SPAN, rel_tol=_INNER_REL_TOL)
     if not res.converged:
-        failing = (error > _INNER_REL_TOL * np.abs(value)).reshape(2, -1).any(axis=0)
+        failing = (res.error > _INNER_REL_TOL * np.abs(res.value)).reshape(2, -1).any(axis=0)
         raise ConvergenceError(
             f"inner u-quadrature did not converge at {names(failing if failing.any() else ~failing)} "
-            f"({context}, error estimate {float(np.max(error))})"
+            f"({context}, error estimate {float(np.max(res.error))})"
         )
-    return value, error
+    return res.value, res.error
 
 
 def _zero_temperature_per_area(cavity: CavityReflection, L: float):

@@ -23,7 +23,8 @@ preset name.  Presets ship as gold = 136 and copper = 136 (nm) and can be
 extended through a file of "name = <nm>" lines pointed at by the
 VACUUMKIT_MATERIALS environment variable.
 
-Exit codes: 0 success, 2 argument or domain error, 3 numerical
+Exit codes: 0 success, 2 argument or domain error (an output that
+overflows to inf or is NaN included, with nothing written), 3 numerical
 non-convergence.
 """
 
@@ -358,6 +359,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         outputs, flags, numerical_error = args.handler(args)
+        for key, value in outputs.items():
+            if not np.isfinite(value).all():
+                raise DomainError(f"{key} is not finite for these inputs")
         inputs = {k: v for k, v in vars(args).items() if k not in _PARSER_KEYS}
         # opened only now, so a failed run leaves an existing file untouched
         with (contextlib.nullcontext(sys.stdout) if args.output is None

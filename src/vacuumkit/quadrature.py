@@ -14,6 +14,11 @@ component that has not met it sits at its floor: bisection cannot lower a
 sum of floors, so the call then returns unconverged at once (QUADPACK's
 round-off exit, ier = 2).
 
+Panels rank by their largest error in units of each component's Int|f|
+over the first panel, rounded up to a power of two, so a component many
+decades smaller than another converges in the panels it would take alone;
+values, errors and convergence tests stay unscaled.
+
 Each refinement step calls the integrand once: the first panel on its 21
 nodes, then both halves of the bisected panel on 42 nodes, so a
 vector-valued integrand pays its per-call overhead once per step.
@@ -109,7 +114,8 @@ def _evaluate_panels(f: Callable, edges):
     """Integrate the panels between consecutive ``edges`` with the nested
     (10, 21) pair in one call of f on the nodes of all of them, panel by
     panel: per panel (value, error estimate, which components are above
-    the round-off floor)."""
+    the round-off floor, Kronrod sum of |f|, which is Int|f| over the
+    panel divided by its half-width)."""
     edges = np.asarray(edges, dtype=float)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -124,8 +130,9 @@ def _evaluate_panels(f: Callable, edges):
         kronrod = h * (_KRONROD_WEIGHTS @ panel)
         gauss = h * (_GAUSS_WEIGHTS @ panel[1::2])
         diff = np.abs(kronrod - gauss)
-        floor = _ROUNDOFF_FLOOR * h * (_KRONROD_WEIGHTS @ np.abs(panel))
-        out.append((kronrod, np.maximum(diff, floor), diff > floor))
+        abs_sum = _KRONROD_WEIGHTS @ np.abs(panel)
+        floor = _ROUNDOFF_FLOOR * h * abs_sum
+        out.append((kronrod, np.maximum(diff, floor), diff > floor, abs_sum))
     return out
 
 
@@ -148,7 +155,9 @@ def adaptive_gauss_legendre(
         Integration bounds, a < b.
     rel_tol : float
         Per-component convergence target; a component converges when its
-        accumulated error estimate is at most rel_tol * |value|.  The
+        accumulated error estimate is at most rel_tol * |value|.  Panels
+        rank by error in units of each component's Int|f| over [a, b],
+        so a small component is refined as if integrated alone.  The
         estimate never drops below the round-off floor 50 eps Int|f|, so
         a tolerance under that floor cannot be met: the call then returns
         ``converged=False`` as soon as every panel of each unconverged
@@ -163,9 +172,12 @@ def adaptive_gauss_legendre(
     if not (np.isfinite(a) and np.isfinite(b) and b > a):
         raise ValueError(f"invalid integration bounds [{a}, {b}]")
 
-    ((val, err, above),) = _evaluate_panels(f, (a, b))
+    ((val, err, above, abs_sum),) = _evaluate_panels(f, (a, b))
+    # each component's unit: the power of two in (I, 2I] of its Int|f| over
+    # [a, b], or 1 where that is 0 or not finite; dividing by it is exact
+    unit = np.ldexp(1.0, np.frexp(0.5 * (b - a) * abs_sum)[1])
     panels = [(a, b, val, err, above)]
-    heap = [(-float(err.max()), a, 0, 0)]  # (-max err, left edge, counter, index)
+    heap = [(-float((err / unit).max()), a, 0, 0)]  # (-max err in units, left edge, counter, index)
     counter = 1
     evaluations = _KRONROD_NODES.size
 
@@ -187,7 +199,7 @@ def adaptive_gauss_legendre(
         pa, pb, pv, pe, p_above = panels[idx]
         pm = 0.5 * (pa + pb)
 
-        (left_v, left_e, left_above), (right_v, right_e, right_above) = _evaluate_panels(f, (pa, pm, pb))
+        (left_v, left_e, left_above, _), (right_v, right_e, right_above, _) = _evaluate_panels(f, (pa, pm, pb))
         evaluations += 2 * _KRONROD_NODES.size
 
         total += left_v + right_v - pv
@@ -196,9 +208,9 @@ def adaptive_gauss_legendre(
 
         panels[idx] = (pa, pm, left_v, left_e, left_above)
         panels.append((pm, pb, right_v, right_e, right_above))
-        heapq.heappush(heap, (-float(left_e.max()), pa, counter, idx))
+        heapq.heappush(heap, (-float((left_e / unit).max()), pa, counter, idx))
         counter += 1
-        heapq.heappush(heap, (-float(right_e.max()), pm, counter, len(panels) - 1))
+        heapq.heappush(heap, (-float((right_e / unit).max()), pm, counter, len(panels) - 1))
         counter += 1
 
         converged, finished = _status()

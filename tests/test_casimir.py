@@ -466,6 +466,32 @@ class TestThermalPath:
         pure = real_mirror_force(cavity(1e-6, 0.0, GOLD))
         assert pure.eta_F < res.eta_F < 1.0
 
+    def test_one_amplitude_call_per_u_quadrature_panel(self, monkeypatch):
+        # each refinement step of a u-quadrature evaluates the amplitudes
+        # once, on all its nodes, and nothing else evaluates them
+        calls = []
+        for name in ("amplitude_imaginary", "amplitude_static"):
+            method = getattr(CavityReflection, name)
+
+            def counting(self, *args, _method=method):
+                calls.append(1)
+                return _method(self, *args)
+
+            monkeypatch.setattr(CavityReflection, name, counting)
+        panels = []
+        quadrature = casimir.adaptive_gauss_legendre
+
+        def recording(f, a, b, **kwargs):
+            res = quadrature(f, a, b, **kwargs)
+            if b == casimir._U_SPAN:
+                panels.append(res.panels)
+            return res
+
+        monkeypatch.setattr(casimir, "adaptive_gauss_legendre", recording)
+        thermal_force(cavity(1e-6, 300.0, GOLD))
+        assert len(panels) > 1
+        assert len(calls) == sum(panels)
+
     def test_bit_identical_repeat(self):
         cfg = cavity(1e-6, 300.0, GOLD)
         a = thermal_force(cfg)

@@ -196,6 +196,30 @@ class TestExitCodes:
         assert "too large" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["ideal", "--length-um", "1e-30", "--area-cm2", "1e300"], "force_N"),
+            (["force", "--length-um", "1e-20", "--area-cm2", "1e300"], "force_N"),
+            (["psphere", "--radius-um", "1e308", "--length-um", "1e-15"], "force_N"),
+            (["chi", "--omega", "1e300", "--area-m2", "1e10"], "chi_vacuum_im_N_per_m"),
+            (["density", "--omega-max", "1e100"], "vacuum_J_per_m3"),
+        ],
+        ids=["ideal", "force", "psphere", "chi", "density"],
+    )
+    def test_non_finite_output_is_two(self, capsys, tmp_path, argv, key, fmt):
+        # neither JSON's non-standard Infinity nor CSV's inf is written
+        assert main(argv + ["--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert f"{key} is not finite" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        path = tmp_path / "out"
+        path.write_bytes(b"earlier result\n")
+        assert main(argv + ["--format", fmt, "--output", str(path)]) == 2
+        assert path.read_bytes() == b"earlier result\n"
+        capsys.readouterr()
+
     def test_unknown_material_is_two(self, capsys):
         assert main(["force", "--length-um", "1", "--area-cm2", "1", "--material", "x"]) == 2
         capsys.readouterr()

@@ -1,6 +1,7 @@
 """Adaptive Gauss-Legendre integrator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,33 @@ def test_deterministic_repeat():
     b = adaptive_gauss_legendre(f, 0.0, 50.0, rel_tol=1e-12)
     assert a.value[0] == b.value[0]
     assert a.error[0] == b.error[0]
+
+
+def _exp_and_scaled_cos2(s):
+    return lambda x: np.stack([np.exp(-x), s * np.cos(30 * x) ** 2], axis=-1)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-8, 1e-300])
+def test_small_component_is_ranked_in_its_own_units(s):
+    # the cos^2 component alone takes 64 panels; ranked by absolute error,
+    # a component 1e-8 of the other took 105 and one 1e-300 of it did not
+    # converge in 512
+    alone = adaptive_gauss_legendre(lambda x: np.cos(30 * x) ** 2, 0.0, 10.0, rel_tol=1e-10)
+    res = adaptive_gauss_legendre(_exp_and_scaled_cos2(s), 0.0, 10.0, rel_tol=1e-10)
+    assert alone.panels == 64
+    assert res.converged
+    assert res.panels == alone.panels
+    assert res.value[1] / s == pytest.approx(5.0 + math.sin(600.0) / 120.0, rel=1e-15)
+
+
+def test_subnormal_component_gives_finite_results():
+    # its unit, a power of two near Int|f| = 5e-315, is subnormal: the
+    # errors are divided by it, where multiplying by 1/unit would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = adaptive_gauss_legendre(_exp_and_scaled_cos2(1e-315), 0.0, 10.0, rel_tol=1e-10)
+    assert np.all(np.isfinite(res.value))
+    assert np.all(np.isfinite(res.error))
 
 
 @pytest.mark.parametrize(
