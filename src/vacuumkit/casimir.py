@@ -81,7 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C, HBAR, K_B
-from .errors import ConvergenceError, DomainError, _check_integer, _check_positive
+from .errors import ConvergenceError, DomainError, _check_finite, _check_integer, _check_positive
 from .mirrors import CavityReflection, Mirror, PerfectMirror
 from .planck import ThermalState
 from .quadrature import adaptive_gauss_legendre
@@ -163,13 +163,13 @@ def ideal_energy_per_area(L: float) -> float:
 def ideal_force(L: float, A: float) -> float:
     """Perfect-mirror attraction at T = 0 [N]; scales as 1/L^4."""
     A = _check_positive("A", A)
-    return A * ideal_force_per_area(L)
+    return _check_finite("ideal_force", A * ideal_force_per_area(L), L=L, A=A)
 
 
 def ideal_energy(L: float, A: float) -> float:
     """Perfect-mirror binding-energy magnitude at T = 0 [J]; equals F L / 3."""
     A = _check_positive("A", A)
-    return A * ideal_energy_per_area(L)
+    return _check_finite("ideal_energy", A * ideal_energy_per_area(L), L=L, A=A)
 
 
 # --- configuration and result records --------------------------------------
@@ -661,8 +661,9 @@ def sphere_plane_force(config: SpherePlaneConfig) -> SpherePlaneResult:
     standard Derjaguin coefficient of the mapping.
     """
     e_per_area, _, rel_err, flags = _per_area(config.mirrors, config.L, config.temperature)
+    force = 2.0 * math.pi * config.R * e_per_area
     return SpherePlaneResult(
-        force=2.0 * math.pi * config.R * e_per_area,
+        force=_check_finite("sphere_plane_force", force, R=config.R, L=config.L),
         eta=e_per_area / ideal_energy_per_area(config.L),
         plane_energy_per_area=e_per_area,
         numerical_error=rel_err,

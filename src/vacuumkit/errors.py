@@ -1,6 +1,7 @@
 """Exception types shared across the library, and the scalar input checks
 that raise them."""
 
+import cmath
 import math
 import numbers
 
@@ -31,6 +32,15 @@ def _check_positive(name: str, value, *, allow_zero: bool = False) -> float:
     ):
         raise DomainError(f"{name} must be finite and {'>=' if allow_zero else '>'} 0, got {value!r}")
     return float(value)
+
+
+def _check_finite(name: str, value, **inputs):
+    """value, a real or complex result of ``name``, if it is finite;
+    DomainError naming the ``inputs`` where it has overflowed."""
+    if not cmath.isfinite(value):
+        args = ", ".join(f"{key}={arg!r}" for key, arg in inputs.items())
+        raise DomainError(f"{name} is not finite at {args}: got {value!r}")
+    return value
 
 
 def _check_integer(name: str, value, minimum: int, maximum: int | None = None) -> int:

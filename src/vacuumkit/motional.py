@@ -29,7 +29,7 @@ import numpy as np
 
 from .casimir import ideal_energy, ideal_force
 from .constants import C, HBAR
-from .errors import DomainError, _check_positive
+from .errors import DomainError, _check_finite, _check_positive
 from .planck import ThermalState
 
 _VACUUM_COEF = HBAR / (60.0 * math.pi**2 * C**4)
@@ -193,7 +193,8 @@ def casimir_inertia_mass(L: float, A: float) -> float:
     With E = F L / 3 this is -2 E / c^2, negative for every geometry and
     scaling as 1/L^3.
     """
-    return (ideal_energy(L, A) - ideal_force(L, A) * L) / C**2
+    mass = (ideal_energy(L, A) - ideal_force(L, A) * L) / C**2
+    return _check_finite("casimir_inertia_mass", mass, L=L, A=A)
 
 
 def thermal_susceptibility(Omega: float, A: float, state: ThermalState):
@@ -203,6 +204,7 @@ def thermal_susceptibility(Omega: float, A: float, state: ThermalState):
     A = _check_positive("A", A)
     theta = state.temperature_frequency
     chi = 1j * (_THERMAL_COEF * A * _pow4(theta) * Omega)
+    _check_finite("thermal_susceptibility", chi, Omega=Omega, A=A, T=state.temperature)
     validity = MotionalValidity(
         area_ok=A > _MUCH_GREATER * (C / Omega) ** 2,
         temperature_ok=theta > _MUCH_GREATER * Omega,
@@ -217,6 +219,7 @@ def vacuum_susceptibility(Omega: float, A: float):
     Omega = _check_positive("Omega", Omega)
     A = _check_positive("A", A)
     chi = 1j * (_VACUUM_COEF * A * _pow5(Omega))
+    _check_finite("vacuum_susceptibility", chi, Omega=Omega, A=A)
     validity = MotionalValidity(
         area_ok=A > _MUCH_GREATER * (C / Omega) ** 2,
         temperature_ok=True,  # the vacuum law assumes theta = 0 exactly

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C, HBAR, K_B
-from .errors import _check_positive
+from .errors import _check_finite, _check_positive
 from .quadrature import adaptive_gauss_legendre
 
 _TWO_PI = 2.0 * math.pi
@@ -112,6 +112,7 @@ def energy_density(omega_max: float, state: ThermalState) -> EnergyDensity:
     theta = state.temperature_frequency
     t2 = theta * theta
     thermal = HBAR * (t2 * t2) / _THERMAL_DENSITY_DENOM
+    _check_finite("energy_density", vacuum + thermal, omega_max=omega_max, T=state.temperature)
     return EnergyDensity(vacuum=vacuum, thermal=thermal)
 
 

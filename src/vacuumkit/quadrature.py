@@ -21,7 +21,9 @@ values, errors and convergence tests stay unscaled.
 
 Each refinement step calls the integrand once: the first panel on its 21
 nodes, then both halves of the bisected panel on 42 nodes, so a
-vector-valued integrand pays its per-call overhead once per step.
+vector-valued integrand pays its per-call overhead once per step; each
+rule is one product over the step's panels.  The heap that ranks the
+panels is their only store.
 
 Determinism: panel selection breaks ties on the left endpoint and an
 insertion counter, and the final accumulation runs over panels sorted by
@@ -33,6 +35,7 @@ threaded).
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -95,8 +98,8 @@ class QuadratureResult:
     value and error have one entry per integrand component; error entries
     are absolute upper estimates, summed over panels, of
     max(|K21 - G10|, 50 eps K21 Int|f|) from the nested rule pair.
-    evaluations is 42 panels - 21: 21 nodes for the first panel and 42
-    for both halves of every bisected one.
+    evaluations is derived from panels as 42 panels - 21: 21 nodes for
+    the first panel and 42 for both halves of every bisected one.
     """
 
     value: np.ndarray
@@ -112,28 +115,24 @@ class QuadratureResult:
 
 def _evaluate_panels(f: Callable, edges):
     """Integrate the panels between consecutive ``edges`` with the nested
-    (10, 21) pair in one call of f on the nodes of all of them, panel by
-    panel: per panel (value, error estimate, which components are above
-    the round-off floor, Kronrod sum of |f|, which is Int|f| over the
-    panel divided by its half-width)."""
+    (10, 21) pair: one call of f on all their nodes, and one product per rule
+    over the (panel, node, component) stack of values.  Returns arrays with
+    one row per panel, each bit-equal to a call on that panel alone: value,
+    error estimate, which components are above the round-off floor, and the
+    Kronrod sum of |f| (Int|f| over the panel divided by its half-width)."""
     edges = np.asarray(edges, dtype=float)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
+    h = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
 
-    x = (mid[:, None] + half[:, None] * _KRONROD_NODES).ravel()
+    x = (mid + h * _KRONROD_NODES).ravel()
     # splitting the node axis makes no copy: each panel's rows keep the
     # memory order f returned, as with one call per panel
-    v = np.atleast_2d(np.asarray(f(x), dtype=float).T).T.reshape(half.size, _KRONROD_NODES.size, -1)
-
-    out = []
-    for h, panel in zip(half, v):
-        kronrod = h * (_KRONROD_WEIGHTS @ panel)
-        gauss = h * (_GAUSS_WEIGHTS @ panel[1::2])
-        diff = np.abs(kronrod - gauss)
-        abs_sum = _KRONROD_WEIGHTS @ np.abs(panel)
-        floor = _ROUNDOFF_FLOOR * h * abs_sum
-        out.append((kronrod, np.maximum(diff, floor), diff > floor, abs_sum))
-    return out
+    v = np.atleast_2d(np.asarray(f(x), dtype=float).T).T.reshape(h.size, _KRONROD_NODES.size, -1)
+    kronrod = h * (_KRONROD_WEIGHTS @ v)
+    diff = np.abs(kronrod - h * (_GAUSS_WEIGHTS @ v[:, 1::2]))
+    abs_sum = _KRONROD_WEIGHTS @ np.abs(v)
+    floor = _ROUNDOFF_FLOOR * h * abs_sum
+    return kronrod, np.maximum(diff, floor), diff > floor, abs_sum
 
 
 def adaptive_gauss_legendre(
@@ -172,14 +171,14 @@ def adaptive_gauss_legendre(
     if not (np.isfinite(a) and np.isfinite(b) and b > a):
         raise ValueError(f"invalid integration bounds [{a}, {b}]")
 
-    ((val, err, above, abs_sum),) = _evaluate_panels(f, (a, b))
+    val, err, above, abs_sum = (row[0] for row in _evaluate_panels(f, (a, b)))
     # each component's unit: the power of two in (I, 2I] of its Int|f| over
     # [a, b], or 1 where that is 0 or not finite; dividing by it is exact
     unit = np.ldexp(1.0, np.frexp(0.5 * (b - a) * abs_sum)[1])
-    panels = [(a, b, val, err, above)]
-    heap = [(-float((err / unit).max()), a, 0, 0)]  # (-max err in units, left edge, counter, index)
-    counter = 1
-    evaluations = _KRONROD_NODES.size
+    # the panels: (-max err in units, left edge, counter, right edge, value,
+    # error, above floor); the unique counter keeps arrays from being compared
+    counter = itertools.count()
+    heap = [(-float((err / unit).max()), a, next(counter), b, val, err, above)]
 
     total = val.copy()
     total_err = err.copy()
@@ -187,43 +186,28 @@ def adaptive_gauss_legendre(
     # running float sums of errors and floors would differ by round-off
     total_above = above.astype(int)
 
-    def _status() -> tuple[bool, bool]:
-        """(converged, finished): finished once every component has
-        converged or has all its panels at their floor."""
+    while True:
         met = total_err <= rel_tol * np.abs(total)
-        return bool(np.all(met)), bool(np.all(met | (total_above == 0)))
-
-    converged, finished = _status()
-    while not finished and len(panels) < _MAX_PANELS:
-        _, _, _, idx = heapq.heappop(heap)
-        pa, pb, pv, pe, p_above = panels[idx]
+        # done once each component has converged or has all panels at their floor
+        if (met | (total_above == 0)).all() or len(heap) >= _MAX_PANELS:
+            break
+        _, pa, _, pb, pv, pe, p_above = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
 
-        (left_v, left_e, left_above, _), (right_v, right_e, right_above, _) = _evaluate_panels(f, (pa, pm, pb))
-        evaluations += 2 * _KRONROD_NODES.size
+        values, errors, aboves, _ = _evaluate_panels(f, (pa, pm, pb))
+        total += values[0] + values[1] - pv
+        total_err += errors[0] + errors[1] - pe
+        total_above += aboves.sum(axis=0) - p_above
 
-        total += left_v + right_v - pv
-        total_err += left_e + right_e - pe
-        total_above += left_above.astype(int) + right_above - p_above
-
-        panels[idx] = (pa, pm, left_v, left_e, left_above)
-        panels.append((pm, pb, right_v, right_e, right_above))
-        heapq.heappush(heap, (-float((left_e / unit).max()), pa, counter, idx))
-        counter += 1
-        heapq.heappush(heap, (-float((right_e / unit).max()), pm, counter, len(panels) - 1))
-        counter += 1
-
-        converged, finished = _status()
+        for lo, hi, v, e, ab in zip((pa, pm), (pm, pb), values, errors, aboves):
+            heapq.heappush(heap, (-float((e / unit).max()), lo, next(counter), hi, v, e, ab))
 
     # Fixed-order accumulation: sum panels left to right.
-    panels.sort(key=lambda p: p[0])
-    value = np.sum(np.stack([p[2] for p in panels]), axis=0)
-    error = np.sum(np.stack([p[3] for p in panels]), axis=0)
-
+    heap.sort(key=lambda p: p[1])
     return QuadratureResult(
-        value=value,
-        error=error,
-        panels=len(panels),
-        evaluations=evaluations,
-        converged=converged,
+        value=np.sum(np.stack([p[4] for p in heap]), axis=0),
+        error=np.sum(np.stack([p[5] for p in heap]), axis=0),
+        panels=len(heap),
+        evaluations=_KRONROD_NODES.size * (2 * len(heap) - 1),
+        converged=bool(met.all()),
     )

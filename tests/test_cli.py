@@ -198,21 +198,23 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize(
-        "argv, key",
+        "argv, source",
         [
-            (["ideal", "--length-um", "1e-30", "--area-cm2", "1e300"], "force_N"),
+            (["ideal", "--length-um", "1e-30", "--area-cm2", "1e300"], "ideal_force"),
             (["force", "--length-um", "1e-20", "--area-cm2", "1e300"], "force_N"),
-            (["psphere", "--radius-um", "1e308", "--length-um", "1e-15"], "force_N"),
-            (["chi", "--omega", "1e300", "--area-m2", "1e10"], "chi_vacuum_im_N_per_m"),
-            (["density", "--omega-max", "1e100"], "vacuum_J_per_m3"),
+            (["psphere", "--radius-um", "1e308", "--length-um", "1e-15"], "sphere_plane_force"),
+            (["chi", "--omega", "1e300", "--area-m2", "1e10"], "vacuum_susceptibility"),
+            (["density", "--omega-max", "1e100"], "energy_density"),
         ],
         ids=["ideal", "force", "psphere", "chi", "density"],
     )
-    def test_non_finite_output_is_two(self, capsys, tmp_path, argv, key, fmt):
-        # neither JSON's non-standard Infinity nor CSV's inf is written
+    def test_non_finite_output_is_two(self, capsys, tmp_path, argv, source, fmt):
+        # neither JSON's non-standard Infinity nor CSV's inf is written; the
+        # error names the library function that overflowed or, where the
+        # library returns inf, the output key that main refused
         assert main(argv + ["--format", fmt]) == 2
         captured = capsys.readouterr()
-        assert f"{key} is not finite" in captured.err and "Traceback" not in captured.err
+        assert f"{source} is not finite" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
         path = tmp_path / "out"
         path.write_bytes(b"earlier result\n")

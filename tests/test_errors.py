@@ -1,0 +1,51 @@
+"""Closed forms whose result overflows raise DomainError naming their inputs."""
+
+import pytest
+
+from vacuumkit import (
+    CavityReflection,
+    DomainError,
+    PerfectMirror,
+    SpherePlaneConfig,
+    ThermalState,
+    casimir_inertia_mass,
+    energy_density,
+    ideal_energy,
+    ideal_force,
+    sphere_plane_force,
+    thermal_susceptibility,
+    vacuum_susceptibility,
+)
+
+PERFECT_PAIR = CavityReflection(PerfectMirror(), PerfectMirror())
+
+
+@pytest.mark.parametrize(
+    "call, inputs",
+    [
+        (lambda: ideal_force(1e-42, 1e296), r"L=1e-42, A=1e\+296"),
+        (lambda: ideal_energy(1e-42, 1e296), r"L=1e-42, A=1e\+296"),
+        (
+            lambda: sphere_plane_force(SpherePlaneConfig(R=1e302, L=1e-21, temperature=0.0, mirrors=PERFECT_PAIR)),
+            r"R=1e\+302, L=1e-21",
+        ),
+        (lambda: vacuum_susceptibility(1e300, 1e10), r"Omega=1e\+300, A=10000000000.0"),
+        (lambda: thermal_susceptibility(1e300, 1e300, ThermalState(1e10)), r"Omega=1e\+300, A=1e\+300, T=1"),
+        (lambda: energy_density(1e100, ThermalState(0.0)), r"omega_max=1e\+100, T=0.0"),
+        (lambda: energy_density(1.0, ThermalState(1e300)), r"omega_max=1.0, T=1e\+300"),
+        (lambda: casimir_inertia_mass(1e-80, 1e200), r"L=1e-80, A=1e\+200"),
+    ],
+    ids=[
+        "ideal_force",
+        "ideal_energy",
+        "sphere_plane_force",
+        "vacuum_susceptibility",
+        "thermal_susceptibility",
+        "energy_density_cutoff",
+        "energy_density_temperature",
+        "casimir_inertia_mass",
+    ],
+)
+def test_overflowing_result_is_a_domain_error(call, inputs):
+    with pytest.raises(DomainError, match=f"not finite at {inputs}"):
+        call()

@@ -146,6 +146,29 @@ def test_one_integrand_call_per_refinement_step(f):
     assert res.evaluations == 42 * res.panels - 21 == sum(sizes)
 
 
+_RATES = np.linspace(0.1, 8.4, 84)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda x: np.cos(7 * x) / (1.0 + x),
+        lambda x: np.exp(-np.outer(x, _RATES)),  # C-ordered, 84 columns
+        lambda x: np.exp(-np.outer(_RATES, x)).T,  # F-ordered, 84 columns
+    ],
+    ids=["scalar", "c_order", "f_order"],
+)
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.3, 4.1), (1e-3, 60.0)])
+def test_batched_step_equals_single_panels(f, a, b):
+    # a bisection step integrates both halves in one call; bit-identical
+    # results need each row to equal the call on that panel alone
+    m = 0.5 * (a + b)
+    both = quadrature._evaluate_panels(f, (a, m, b))
+    for row, edges in enumerate([(a, m), (m, b)]):
+        for batched, single in zip(both, quadrature._evaluate_panels(f, edges)):
+            assert batched[row].tobytes() == single[0].tobytes()
+
+
 def test_rule_literals_match_scipy_gauss_kronrod():
     rules = pytest.importorskip("scipy.integrate._rules")
     kronrod = rules.GaussKronrodQuadrature(21)
