@@ -41,7 +41,10 @@ Both report a round-off bound of 32 eps as their error estimate.
 
 Every u-integral runs through one batched routine, ``_u_quadrature``: a
 vector-valued quadrature over u in [0, 80], one column per integral, each
-column held to the inner tolerance on its own.  At T = 0 each refinement
+column held to the inner tolerance on its own.  It starts from the dyadic
+chain of panels toward u = 0 that its refinement always reaches, of depth
+10 at T = 0 and 3 in the Matsubara sum, in one integrand call; the result
+is the same bits as refined from [0, 80] alone.  At T = 0 each refinement
 step of the outer phi quadrature evaluates the phi integrand once, at the
 21 nodes of the first panel or the 42 nodes of both halves of a bisected
 one, and so runs one u-quadrature with twice as many columns.  The
@@ -93,6 +96,18 @@ _U_SPAN = 80.0
 # outer refinement never chases inner quadrature noise
 _OUTER_REL_TOL = 3e-9
 _INNER_REL_TOL = 1e-10
+
+# depth of the dyadic chain [0, U_SPAN 2^-d], ..., [U_SPAN/4, U_SPAN/2],
+# [U_SPAN/2, U_SPAN] that each u-quadrature starts from.  Refined from
+# [0, U_SPAN] alone, every u-quadrature over lambda_p from 30 nm to 1 um,
+# L from 1 nm to 100 um and T up to 3000 K ended on such a chain, at depth
+# 10 to 18 at T = 0 (every T = 0 kernel has a perfect pair's u^2 ln u at
+# u = 0, as a plasma pair reflects fully at kappa -> 0), at least 4 for
+# n = 0 and at least 3 for the n >= 1 blocks (BENCH_18.json).  Starting
+# there keeps every bit of the result and makes one integrand call where
+# the chain took d + 1 serial ones.
+_ZERO_T_DEPTH = 10
+_MATSUBARA_DEPTH = 3
 
 _MATSUBARA_TERM_REL = 1e-10
 _MATSUBARA_MAX_TERMS = 1_000_000
@@ -297,16 +312,19 @@ def _relative(error, value) -> float:
     return float(np.max(error / scale))
 
 
-def _u_quadrature(f, names, context: str):
+def _u_quadrature(f, names, context: str, depth: int):
     """(value, absolute error) of every column of f over u in [0, U_SPAN].
 
     f maps nodes of shape (q,) to values of shape (q, 2c): c energy
-    columns, then the c force columns.  Each column meets the inner
+    columns, then the c force columns.  Refinement starts from the dyadic
+    chain of ``depth``, with edges at U_SPAN 2^-depth, ..., U_SPAN/2, which
+    the caller's kernels always reach.  Each column meets the inner
     tolerance on its own, as the quadrature ranks panels per column in
     units of its own integral of |f|.  A ConvergenceError names the
     failing column pairs by ``names(mask)`` and adds ``context``.
     """
-    res = adaptive_gauss_legendre(f, 0.0, _U_SPAN, rel_tol=_INNER_REL_TOL)
+    points = [math.ldexp(_U_SPAN, -d) for d in range(depth, 0, -1)]
+    res = adaptive_gauss_legendre(f, 0.0, _U_SPAN, rel_tol=_INNER_REL_TOL, points=points)
     if not res.converged:
         failing = (res.error > _INNER_REL_TOL * np.abs(res.value)).reshape(2, -1).any(axis=0)
         raise ConvergenceError(
@@ -321,7 +339,9 @@ def _zero_temperature_per_area(cavity: CavityReflection, L: float):
 
     Each call of the phi-integrand at m nodes (21 or 42, one outer
     refinement step) runs one batched u-quadrature: columns j and m + j
-    are the energy and force integrals at phi_j.
+    are the energy and force integrals at phi_j.  It starts from the chain
+    of depth ``_ZERO_T_DEPTH``, 231 nodes in one call, where refinement
+    from [0, U_SPAN] took 11 serial calls on 441 nodes to reach it.
     """
     worst_inner = [0.0]
 
@@ -330,16 +350,24 @@ def _zero_temperature_per_area(cavity: CavityReflection, L: float):
         sin_phi = np.sin(phis)
 
         def inner(u):
-            # the full (u, phi) grid: a perfect pair's amplitudes are scalars
-            uc = np.broadcast_to(u[:, None], (u.size, phis.size))
+            # exp(-u) and u^2 on the u axis, the amplitudes on the (u, phi)
+            # grid; the assignment broadcasts a perfect pair's scalar
+            # amplitudes over that grid
+            uc = u[:, None]
             xi = (0.5 * C / L) * cos_phi * uc
             k = (0.5 / L) * sin_phi * uc
             g_e, g_f = _kernels(cavity.amplitude_imaginary(xi, k), uc)
             u2 = uc * uc
-            return np.concatenate([u2 * g_e, u2 * uc * g_f], axis=1)
+            out = np.empty((u.size, 2 * phis.size))
+            out[:, : phis.size] = u2 * g_e
+            out[:, phis.size :] = u2 * uc * g_f
+            return out
 
         value, error = _u_quadrature(
-            inner, lambda bad: "phi=" + ", ".join(f"{p:.6f}" for p in phis[bad]), f"L={L:.3e} m"
+            inner,
+            lambda bad: "phi=" + ", ".join(f"{p:.6f}" for p in phis[bad]),
+            f"L={L:.3e} m",
+            _ZERO_T_DEPTH,
         )
         worst_inner[0] = max(worst_inner[0], _relative(error, value))
         return sin_phi[:, None] * value.reshape(2, phis.size).T
@@ -375,7 +403,7 @@ def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
 
     # n = 0: the perfect-pair parts in closed form (their share past the
     # u-cut is below 1e-30), and the smooth remainder by quadrature
-    value, error = _u_quadrature(static_term, lambda bad: "n=0", context)
+    value, error = _u_quadrature(static_term, lambda bad: "n=0", context, _MATSUBARA_DEPTH)
     value = value + _PERFECT_STATIC
     totals, quad_err, tail = 0.5 * value, 0.5 * error, np.zeros(2)
     mags = np.max(np.abs(totals), keepdims=True)
@@ -394,7 +422,9 @@ def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
             g_e, g_f = _kernels(cavity.amplitude_imaginary(xi, k), u)
             return np.concatenate([u * g_e, u * u * g_f], axis=1)
 
-        value, error = _u_quadrature(block, lambda bad: "n=" + ", ".join(map(str, n[bad])), context)
+        value, error = _u_quadrature(
+            block, lambda bad: "n=" + ", ".join(map(str, n[bad])), context, _MATSUBARA_DEPTH
+        )
         terms = value.reshape(2, -1)
         running = np.cumsum(np.concatenate([totals[:, None], terms], axis=1), axis=1)[:, 1:]
         bound = (n_max - n) * np.abs(terms)
@@ -520,8 +550,8 @@ def _plane_result(config: CavityConfig) -> ForceResult:
         f0_per_area = _per_area(config.mirrors, config.L, 0.0)[1]
         eta_t = config.A * f_per_area / (config.A * f0_per_area)
     return ForceResult(
-        force=config.A * f_per_area,
-        energy=config.A * e_per_area,
+        force=_check_finite("force", config.A * f_per_area, L=config.L, A=config.A),
+        energy=_check_finite("energy", config.A * e_per_area, L=config.L, A=config.A),
         eta_E=e_per_area / ideal_energy_per_area(config.L),
         eta_F=f_per_area / ideal_force_per_area(config.L),
         numerical_error=rel_err,

@@ -14,16 +14,21 @@ component that has not met it sits at its floor: bisection cannot lower a
 sum of floors, so the call then returns unconverged at once (QUADPACK's
 round-off exit, ier = 2).
 
-Panels rank by their largest error in units of each component's Int|f|
-over the first panel, rounded up to a power of two, so a component many
-decades smaller than another converges in the panels it would take alone;
-values, errors and convergence tests stay unscaled.
+Refinement starts from the panels between a, the optional ``points`` and
+b (QUADPACK's qagp start mesh).  Where refinement from [a, b] alone would
+reach those panels anyway, the start changes no bit of the result and
+saves the serial steps that would have reached them.
 
-Each refinement step calls the integrand once: the first panel on its 21
-nodes, then both halves of the bisected panel on 42 nodes, so a
-vector-valued integrand pays its per-call overhead once per step; each
-rule is one product over the step's panels.  The heap that ranks the
-panels is their only store.
+Panels rank by their largest error in units of each component's Int|f|
+over the starting panels, rounded up to a power of two, so a component
+many decades smaller than another converges in the panels it would take
+alone; values, errors and convergence tests stay unscaled.
+
+Each refinement step calls the integrand once: the starting panels on
+their 21 nodes each, then both halves of the bisected panel on 42 nodes,
+so a vector-valued integrand pays its per-call overhead once per step;
+each rule is one product over the step's panels.  The heap that ranks
+the panels is their only store.
 
 Determinism: panel selection breaks ties on the left endpoint and an
 insertion counter, and the final accumulation runs over panels sorted by
@@ -98,8 +103,9 @@ class QuadratureResult:
     value and error have one entry per integrand component; error entries
     are absolute upper estimates, summed over panels, of
     max(|K21 - G10|, 50 eps K21 Int|f|) from the nested rule pair.
-    evaluations is derived from panels as 42 panels - 21: 21 nodes for
-    the first panel and 42 for both halves of every bisected one.
+    evaluations is derived from panels as 21 (2 panels - s) for s
+    starting panels: 21 nodes for each starting panel and 42 for both
+    halves of every bisected one.
     """
 
     value: np.ndarray
@@ -141,6 +147,7 @@ def adaptive_gauss_legendre(
     b: float,
     *,
     rel_tol: float = 1e-10,
+    points=(),
 ) -> QuadratureResult:
     """Integrate ``f`` over [a, b] to the requested tolerance.
 
@@ -156,13 +163,17 @@ def adaptive_gauss_legendre(
         Per-component convergence target; a component converges when its
         accumulated error estimate is at most rel_tol * |value|.  Panels
         rank by error in units of each component's Int|f| over [a, b],
-        so a small component is refined as if integrated alone.  The
-        estimate never drops below the round-off floor 50 eps Int|f|, so
-        a tolerance under that floor cannot be met: the call then returns
-        ``converged=False`` as soon as every panel of each unconverged
-        component sits at its floor.  Past ``_MAX_PANELS`` panels the
-        call also returns ``converged=False`` with the accumulated
-        estimates.
+        summed over the starting panels, so a small component is refined
+        as if integrated alone.  The estimate never drops below the
+        round-off floor 50 eps Int|f|, so a tolerance under that floor
+        cannot be met: the call then returns ``converged=False`` as soon
+        as every panel of each unconverged component sits at its floor.
+        Past ``_MAX_PANELS`` panels the call also returns
+        ``converged=False`` with the accumulated estimates.
+    points : sequence of float
+        Finite, strictly increasing edges inside (a, b), else ValueError:
+        refinement starts from the panels between a, the points and b,
+        all integrated in one call of f.
 
     Returns
     -------
@@ -170,21 +181,30 @@ def adaptive_gauss_legendre(
     """
     if not (np.isfinite(a) and np.isfinite(b) and b > a):
         raise ValueError(f"invalid integration bounds [{a}, {b}]")
+    edges = np.array([a, *points, b], dtype=float)
+    if not (np.isfinite(edges).all() and (np.diff(edges) > 0.0).all()):
+        raise ValueError(f"points {points!r} must be finite, strictly increasing and inside ({a}, {b})")
 
-    val, err, above, abs_sum = (row[0] for row in _evaluate_panels(f, (a, b)))
+    values, errors, aboves, abs_sums = _evaluate_panels(f, edges)
     # each component's unit: the power of two in (I, 2I] of its Int|f| over
-    # [a, b], or 1 where that is 0 or not finite; dividing by it is exact
-    unit = np.ldexp(1.0, np.frexp(0.5 * (b - a) * abs_sum)[1])
+    # the starting panels, or 1 where that is 0 or not finite; dividing by it
+    # is exact
+    unit = np.ldexp(1.0, np.frexp((0.5 * np.diff(edges)) @ abs_sums)[1])
     # the panels: (-max err in units, left edge, counter, right edge, value,
     # error, above floor); the unique counter keeps arrays from being compared
     counter = itertools.count()
-    heap = [(-float((err / unit).max()), a, next(counter), b, val, err, above)]
+    bounds = edges.tolist()
+    heap = [
+        (-float((e / unit).max()), lo, next(counter), hi, v, e, ab)
+        for lo, hi, v, e, ab in zip(bounds[:-1], bounds[1:], values, errors, aboves)
+    ]
+    heapq.heapify(heap)
 
-    total = val.copy()
-    total_err = err.copy()
+    total = values.sum(axis=0)
+    total_err = errors.sum(axis=0)
     # panels above their round-off floor, per component; an exact count, where
     # running float sums of errors and floors would differ by round-off
-    total_above = above.astype(int)
+    total_above = aboves.sum(axis=0, dtype=int)
 
     while True:
         met = total_err <= rel_tol * np.abs(total)
@@ -208,6 +228,6 @@ def adaptive_gauss_legendre(
         value=np.sum(np.stack([p[4] for p in heap]), axis=0),
         error=np.sum(np.stack([p[5] for p in heap]), axis=0),
         panels=len(heap),
-        evaluations=_KRONROD_NODES.size * (2 * len(heap) - 1),
+        evaluations=_KRONROD_NODES.size * (2 * len(heap) - len(bounds) + 1),
         converged=bool(met.all()),
     )

@@ -466,9 +466,10 @@ class TestThermalPath:
         pure = real_mirror_force(cavity(1e-6, 0.0, GOLD))
         assert pure.eta_F < res.eta_F < 1.0
 
-    def test_one_amplitude_call_per_u_quadrature_panel(self, monkeypatch):
-        # each refinement step of a u-quadrature evaluates the amplitudes
-        # once, on all its nodes, and nothing else evaluates them
+    def test_one_amplitude_call_per_u_quadrature_step(self, monkeypatch):
+        # each u-quadrature evaluates the amplitudes once on its whole start
+        # mesh, the dyadic chain of depth d (d + 1 panels), then once per
+        # bisection, and nothing else evaluates them
         calls = []
         for name in ("amplitude_imaginary", "amplitude_static"):
             method = getattr(CavityReflection, name)
@@ -478,19 +479,45 @@ class TestThermalPath:
                 return _method(self, *args)
 
             monkeypatch.setattr(CavityReflection, name, counting)
-        panels = []
+        steps = []
         quadrature = casimir.adaptive_gauss_legendre
 
         def recording(f, a, b, **kwargs):
             res = quadrature(f, a, b, **kwargs)
             if b == casimir._U_SPAN:
-                panels.append(res.panels)
+                steps.append(res.panels - len(kwargs["points"]))
             return res
 
         monkeypatch.setattr(casimir, "adaptive_gauss_legendre", recording)
         thermal_force(cavity(1e-6, 300.0, GOLD))
-        assert len(panels) > 1
-        assert len(calls) == sum(panels)
+        assert len(steps) > 1
+        assert len(calls) == sum(steps)
+
+    @pytest.mark.parametrize(
+        "mirror, L, T",
+        [
+            (GOLD, 1e-6, 0.0),
+            (GOLD, 1e-6, 300.0),
+            # 11 inner u-quadratures, refined to depths 11 to 18
+            (PlasmaMirror.from_wavelength(1e-6), 1e-9, 0.0),
+            # n = 0 and three Matsubara blocks, the last refined to depth 3
+            (GOLD, 50e-9, 300.0),
+        ],
+        ids=["gold-1um-0K", "gold-1um-300K", "1um-1nm-0K", "gold-50nm-300K"],
+    )
+    def test_start_mesh_keeps_the_bits_of_refining_from_one_panel(self, monkeypatch, mirror, L, T):
+        # the start mesh is a chain that refinement from [0, U_SPAN] always
+        # reaches, and the panel sum runs in position order, so the results
+        # are the same bits as without it
+        pair = CavityReflection(mirror, mirror)
+        started = casimir._per_area(pair, L, T)
+        quadrature = casimir.adaptive_gauss_legendre
+
+        def one_panel(f, a, b, *, points=(), **kwargs):
+            return quadrature(f, a, b, **kwargs)
+
+        monkeypatch.setattr(casimir, "adaptive_gauss_legendre", one_panel)
+        assert started == casimir._per_area(pair, L, T)
 
     def test_bit_identical_repeat(self):
         cfg = cavity(1e-6, 300.0, GOLD)

@@ -201,7 +201,7 @@ class TestExitCodes:
         "argv, source",
         [
             (["ideal", "--length-um", "1e-30", "--area-cm2", "1e300"], "ideal_force"),
-            (["force", "--length-um", "1e-20", "--area-cm2", "1e300"], "force_N"),
+            (["force", "--length-um", "1e-20", "--area-cm2", "1e300"], "force"),
             (["psphere", "--radius-um", "1e308", "--length-um", "1e-15"], "sphere_plane_force"),
             (["chi", "--omega", "1e300", "--area-m2", "1e10"], "vacuum_susceptibility"),
             (["density", "--omega-max", "1e100"], "energy_density"),
@@ -210,8 +210,7 @@ class TestExitCodes:
     )
     def test_non_finite_output_is_two(self, capsys, tmp_path, argv, source, fmt):
         # neither JSON's non-standard Infinity nor CSV's inf is written; the
-        # error names the library function that overflowed or, where the
-        # library returns inf, the output key that main refused
+        # error names the library result that overflowed
         assert main(argv + ["--format", fmt]) == 2
         captured = capsys.readouterr()
         assert f"{source} is not finite" in captured.err and "Traceback" not in captured.err

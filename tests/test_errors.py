@@ -1,8 +1,9 @@
-"""Closed forms whose result overflows raise DomainError naming their inputs."""
+"""Results that overflow raise DomainError naming their inputs."""
 
 import pytest
 
 from vacuumkit import (
+    CavityConfig,
     CavityReflection,
     DomainError,
     PerfectMirror,
@@ -13,6 +14,8 @@ from vacuumkit import (
     ideal_energy,
     ideal_force,
     sphere_plane_force,
+    thermal_energy,
+    thermal_force,
     thermal_susceptibility,
     vacuum_susceptibility,
 )
@@ -29,6 +32,8 @@ PERFECT_PAIR = CavityReflection(PerfectMirror(), PerfectMirror())
             lambda: sphere_plane_force(SpherePlaneConfig(R=1e302, L=1e-21, temperature=0.0, mirrors=PERFECT_PAIR)),
             r"R=1e\+302, L=1e-21",
         ),
+        (lambda: thermal_force(CavityConfig.symmetric(1e-26, 1e296, 0.0, PerfectMirror())), r"L=1e-26, A=1e\+296"),
+        (lambda: thermal_energy(CavityConfig.symmetric(1e-18, 1e300, 300.0, PerfectMirror())), r"L=1e-18, A=1e\+300"),
         (lambda: vacuum_susceptibility(1e300, 1e10), r"Omega=1e\+300, A=10000000000.0"),
         (lambda: thermal_susceptibility(1e300, 1e300, ThermalState(1e10)), r"Omega=1e\+300, A=1e\+300, T=1"),
         (lambda: energy_density(1e100, ThermalState(0.0)), r"omega_max=1e\+100, T=0.0"),
@@ -39,6 +44,8 @@ PERFECT_PAIR = CavityReflection(PerfectMirror(), PerfectMirror())
         "ideal_force",
         "ideal_energy",
         "sphere_plane_force",
+        "thermal_force",
+        "thermal_energy",
         "vacuum_susceptibility",
         "thermal_susceptibility",
         "energy_density_cutoff",

@@ -201,3 +201,68 @@ def test_rules_integrate_monomials_exactly(nodes, weights, degree):
 def test_bad_bounds():
     with pytest.raises(ValueError):
         adaptive_gauss_legendre(lambda x: x, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [(0.5, 0.25), (0.5, 0.5), (math.nan,), (math.inf,), (0.0,), (1.0,), (-0.5,), (1.5,)],
+    ids=["unsorted", "repeated", "nan", "inf", "at_a", "at_b", "below_a", "above_b"],
+)
+def test_bad_points(points):
+    with pytest.raises(ValueError):
+        adaptive_gauss_legendre(lambda x: x, 0.0, 1.0, points=points)
+
+
+@pytest.mark.parametrize("points", [(1.0,), (0.5, 1.0, 2.5)])
+def test_start_mesh_is_one_call(points):
+    # the panels between a, the points and b take one call on all their
+    # nodes; every bisection after it is one call on 42 nodes
+    sizes = []
+
+    def counting(x):
+        sizes.append(x.size)
+        return np.cos(7 * x)
+
+    res = adaptive_gauss_legendre(counting, 0.0, 5.0, rel_tol=1e-11, points=points)
+    start = len(points) + 1
+    assert res.panels > start
+    assert sizes == [21 * start] + [42] * (res.panels - start)
+    assert res.evaluations == 21 * (2 * res.panels - len(points) - 1) == sum(sizes)
+
+
+@pytest.mark.parametrize(
+    "f, b, value, error, panels",
+    [
+        (lambda x: np.cos(7 * x) / (1.0 + x), 5.0, ["0x1.21ef950947c2cp-7"], ["0x1.ca525731f446cp-47"], 8),
+        (
+            _exp_and_scaled_cos2(1e-8),
+            10.0,
+            ["0x1.fffa0ca192a6ep-1", "0x1.ad87426147c6ep-25"],
+            ["0x1.8ffb59de3a926p-47", "0x1.c745c00000000p-62"],
+            64,
+        ),
+    ],
+    ids=["scalar", "vector"],
+)
+def test_no_points_keeps_the_bits_of_one_starting_panel(f, b, value, error, panels):
+    # frozen from the routine as it was before it took a start mesh
+    res = adaptive_gauss_legendre(f, 0.0, b, rel_tol=1e-11)
+    assert [v.hex() for v in res.value] == value
+    assert [e.hex() for e in res.error] == error
+    assert res.panels == panels
+    assert res.evaluations == 42 * panels - 21
+
+
+def test_start_from_a_chain_refinement_reaches_keeps_the_bits():
+    # refined from [0, 80], this vector case ends on the dyadic chain of
+    # depth 16 toward its log singularity at 0; started from the chain of
+    # depth 10, it ends on the same panels in fewer calls
+    def f(u):
+        return np.stack([-u * np.log1p(-np.exp(-u)), u * u * np.log(u) * np.exp(-u)], axis=-1)
+
+    one = adaptive_gauss_legendre(f, 0.0, 80.0, rel_tol=1e-10)
+    chain = adaptive_gauss_legendre(f, 0.0, 80.0, rel_tol=1e-10, points=[80.0 * 2.0**-d for d in range(10, 0, -1)])
+    assert one.panels == chain.panels == 17
+    assert one.value.tobytes() == chain.value.tobytes()
+    assert one.error.tobytes() == chain.error.tobytes()
+    assert chain.evaluations == 21 * (2 * 17 - 11) < one.evaluations
