@@ -72,8 +72,15 @@ and raises ConvergenceError, naming the path, L and T, above the error
 ceiling.  Every public operation, the sweep and the sphere-plane mapping
 are built on it.
 
+The T = 0 and Matsubara integrands (``_zero_t_inner``, ``_matsubara_block``)
+evaluate the amplitudes, kernels and their own values into buffers that
+each thread keeps from call to call (``_SCRATCH``), with the ufuncs and
+operand grouping of the expressions they stand for, so no call allocates a
+full-size array and the bits are those of a fresh evaluation.
+
 All quadratures and sums run in a fixed order; identical inputs give
-bit-identical results.
+bit-identical results, also with the engine called from several threads
+at once.
 """
 
 from __future__ import annotations
@@ -85,7 +92,7 @@ import numpy as np
 
 from .constants import C, HBAR, K_B
 from .errors import ConvergenceError, DomainError, _check_finite, _check_integer, _check_positive
-from .mirrors import CavityReflection, Mirror, PerfectMirror
+from .mirrors import CavityReflection, Mirror, PerfectMirror, Scratch, _fresh
 from .planck import ThermalState
 from .quadrature import adaptive_gauss_legendre
 
@@ -111,9 +118,9 @@ _MATSUBARA_DEPTH = 3
 
 _MATSUBARA_TERM_REL = 1e-10
 _MATSUBARA_MAX_TERMS = 1_000_000
-# terms per Matsubara block; larger blocks make numpy temporaries that the
-# allocator returns to the system after every use, and the page faults cost
-# more than the larger batch saves
+# terms per Matsubara block.  The terms of a block share the panels of one
+# u-quadrature, each refined until the worst of them converges, so another
+# block size moves the last bits of the sum
 _BLOCK_TERMS = 128
 _FEW_TERMS_WARN = 10
 
@@ -136,6 +143,12 @@ _LAMBERT_SPAN = 40.0
 # 74 positive terms of a few correctly rounded operations each, of their
 # sum, and of du and the prefactor; both truncations lie below 1e-18
 _PERFECT_THERMAL_ERROR = 32.0 * float(np.finfo(float).eps)
+
+# the buffers of the T = 0 and Matsubara integrands, kept per thread; each
+# grows to the largest node-by-column array asked of it, about 86 kB for a
+# 128-term block on 84 nodes.  The two integrands never run inside one
+# another, so they share names
+_SCRATCH = Scratch()
 
 FLAG_PLANE_LIMIT = "A_not_much_larger_than_L_squared"
 FLAG_PROXIMITY = "R_not_much_larger_than_L"
@@ -272,15 +285,34 @@ class SpherePlaneResult:
 # --- spectral kernels -------------------------------------------------------
 
 
-def _kernels(amplitudes, u):
+def _kernels(amplitudes, u, scratch=None):
     """Polarization-summed energy and force kernels at exp(-u) of the loop
-    amplitudes ``(r_TE, r_TM)``."""
+    amplitudes ``(r_TE, r_TM)``, arrays of their broadcast shape with u: in
+    the buffers of ``scratch``, which the next call with it overwrites, or
+    new without it.  exp and log1p, whose vector loops may round otherwise
+    on strided operands, run on contiguous arrays of u's and that shape."""
+    take = _fresh if scratch is None else scratch
     r_te, r_tm = amplitudes
-    emu = np.exp(-u)
-    x_te = r_te * emu
-    x_tm = r_tm * emu
-    g_e = -(np.log1p(-x_te) + np.log1p(-x_tm))
-    g_f = x_te / (1.0 - x_te) + x_tm / (1.0 - x_tm)
+    shape = np.broadcast(r_te, r_tm, u).shape
+    (emu,) = take("exp(-u)", u.shape, 1)
+    np.negative(u, out=emu)
+    np.exp(emu, out=emu)
+    x_te, x_tm, g_e, g_f = take("kernels", shape, 4)
+    np.multiply(r_te, emu, out=x_te)
+    np.multiply(r_tm, emu, out=x_tm)
+    # g_e = -(log1p(-x_te) + log1p(-x_tm))
+    np.negative(x_te, out=g_e)
+    np.log1p(g_e, out=g_e)
+    np.negative(x_tm, out=g_f)
+    np.log1p(g_f, out=g_f)
+    np.add(g_e, g_f, out=g_e)
+    np.negative(g_e, out=g_e)
+    # g_f = x_te / (1 - x_te) + x_tm / (1 - x_tm), the second term over x_te
+    np.subtract(1.0, x_te, out=g_f)
+    np.divide(x_te, g_f, out=g_f)
+    np.subtract(1.0, x_tm, out=x_te)
+    np.divide(x_tm, x_te, out=x_te)
+    np.add(g_f, x_te, out=g_f)
     return g_e, g_f
 
 
@@ -334,6 +366,64 @@ def _u_quadrature(f, names, context: str, depth: int):
     return res.value, res.error
 
 
+def _zero_t_inner(cavity: CavityReflection, L: float, phis):
+    """The T = 0 u-integrand at the m angles ``phis``: nodes u of shape (q,)
+    to the (q, 2m) values u^2 G_E and u^3 G_F, energy columns first.  Every
+    array of q m elements is a buffer of this thread's scratch, the result
+    too, which the next call overwrites."""
+    xi_scale = (0.5 * C / L) * np.cos(phis)
+    k_scale = (0.5 / L) * np.sin(phis)
+    m = phis.size
+
+    def inner(u):
+        # exp(-u) and u^2 on the u axis, the amplitudes on the (u, phi)
+        # grid; the products broadcast a perfect pair's scalar amplitudes
+        # over that grid
+        scratch = _SCRATCH
+        uc = u[:, None]
+        xi, k = scratch("grid", (u.size, m), 2)
+        np.multiply(xi_scale, uc, out=xi)
+        np.multiply(k_scale, uc, out=k)
+        g_e, g_f = _kernels(cavity.amplitude_imaginary(xi, k, scratch), uc, scratch)
+        u2 = uc * uc
+        (out,) = scratch("integrand", (u.size, 2 * m), 1)
+        np.multiply(u2, g_e, out=out[:, :m])
+        np.multiply(u2 * uc, g_f, out=out[:, m:])
+        return out
+
+    return inner
+
+
+def _matsubara_block(cavity: CavityReflection, L: float, du: float, theta: float, n):
+    """The u-integrand of the Matsubara terms ``n`` >= 1, on u = u_n + s:
+    nodes s of shape (q,) to the (q, 2c) values u G_E and u^2 G_F of the c
+    terms, energy columns first.  Every array of q c elements is a buffer
+    of this thread's scratch, the result too, which the next call
+    overwrites."""
+    u_n, xi = n * du, n * theta
+    two_u_n = 2.0 * u_n
+    c = n.size
+
+    def block(s):
+        scratch = _SCRATCH
+        sc = s[:, None]
+        u, k = scratch("grid", (s.size, c), 2)
+        np.add(u_n, sc, out=u)
+        # k = (0.5 / L) sqrt(s (s + 2 u_n))
+        np.add(sc, two_u_n, out=k)
+        np.multiply(sc, k, out=k)
+        np.sqrt(k, out=k)
+        np.multiply(0.5 / L, k, out=k)
+        g_e, g_f = _kernels(cavity.amplitude_imaginary(xi, k, scratch), u, scratch)
+        (out,) = scratch("integrand", (s.size, 2 * c), 1)
+        np.multiply(u, g_e, out=out[:, :c])
+        u2 = np.multiply(u, u, out=g_e)
+        np.multiply(u2, g_f, out=out[:, c:])
+        return out
+
+    return block
+
+
 def _zero_temperature_per_area(cavity: CavityReflection, L: float):
     """(E/A, F/A, relative error) at T = 0 by the (u, phi) double quadrature.
 
@@ -346,31 +436,14 @@ def _zero_temperature_per_area(cavity: CavityReflection, L: float):
     worst_inner = [0.0]
 
     def outer_integrand(phis):
-        cos_phi = np.cos(phis)
-        sin_phi = np.sin(phis)
-
-        def inner(u):
-            # exp(-u) and u^2 on the u axis, the amplitudes on the (u, phi)
-            # grid; the assignment broadcasts a perfect pair's scalar
-            # amplitudes over that grid
-            uc = u[:, None]
-            xi = (0.5 * C / L) * cos_phi * uc
-            k = (0.5 / L) * sin_phi * uc
-            g_e, g_f = _kernels(cavity.amplitude_imaginary(xi, k), uc)
-            u2 = uc * uc
-            out = np.empty((u.size, 2 * phis.size))
-            out[:, : phis.size] = u2 * g_e
-            out[:, phis.size :] = u2 * uc * g_f
-            return out
-
         value, error = _u_quadrature(
-            inner,
+            _zero_t_inner(cavity, L, phis),
             lambda bad: "phi=" + ", ".join(f"{p:.6f}" for p in phis[bad]),
             f"L={L:.3e} m",
             _ZERO_T_DEPTH,
         )
         worst_inner[0] = max(worst_inner[0], _relative(error, value))
-        return sin_phi[:, None] * value.reshape(2, phis.size).T
+        return np.sin(phis)[:, None] * value.reshape(2, phis.size).T
 
     outer = adaptive_gauss_legendre(outer_integrand, 0.0, 0.5 * math.pi, rel_tol=_OUTER_REL_TOL)
     if not outer.converged:
@@ -413,17 +486,11 @@ def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
             break
         n = np.arange(n_lo, n_lo + _BLOCK_TERMS)
         n = n[n <= n_max]
-        u_n, xi = n * du, n * theta
-
-        def block(s):
-            sc = s[:, None]
-            u = u_n + sc
-            k = (0.5 / L) * np.sqrt(sc * (sc + 2.0 * u_n))
-            g_e, g_f = _kernels(cavity.amplitude_imaginary(xi, k), u)
-            return np.concatenate([u * g_e, u * u * g_f], axis=1)
-
         value, error = _u_quadrature(
-            block, lambda bad: "n=" + ", ".join(map(str, n[bad])), context, _MATSUBARA_DEPTH
+            _matsubara_block(cavity, L, du, theta, n),
+            lambda bad: "n=" + ", ".join(map(str, n[bad])),
+            context,
+            _MATSUBARA_DEPTH,
         )
         terms = value.reshape(2, -1)
         running = np.cumsum(np.concatenate([totals[:, None], terms], axis=1), axis=1)[:, 1:]

@@ -16,12 +16,21 @@ mirror's pair is the scalars (-1.0, 1.0); ``reflection_amplitude_imaginary``
 checks its inputs and shapes the pair to them.  A cavity of two equal
 mirrors evaluates the mirror once and squares its pair, which gives the
 same bits as the product of two evaluations.
+
+The imaginary-axis amplitudes take an optional ``Scratch``: named float64
+buffers that are kept from call to call, separately in each thread.  With
+one, every intermediate and the returned pair are written into its
+buffers, with the ufuncs and operand grouping of the formula, so the bits
+are those of a call without it, which returns new arrays.  The Casimir
+engine evaluates its integrands this way and allocates no full-size array
+per call.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import Union
 
@@ -29,6 +38,55 @@ import numpy as np
 
 from .constants import C
 from .errors import DomainError, SingularResonanceError, _check_positive
+
+
+# tuples of arrays a Scratch keeps, one per name, shape and count, so that a
+# repeated request makes no new array objects; the cap bounds them in a
+# process that meets many block sizes
+_MAX_VIEWS = 1024
+
+
+class Scratch(threading.local):
+    """Named float64 buffers kept for reuse across calls, separately in
+    each thread that uses the object.
+
+    ``scratch(name, shape, count)`` returns ``count`` C-contiguous arrays
+    of ``shape`` on the buffer ``name``, which grows to the largest size
+    asked of it and is kept.  The next request for ``name`` in the same
+    thread overwrites them.  ``partner`` is a second Scratch, for the other
+    mirror of an unequal pair.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+        self._views = {}  # (name, shape, count) -> arrays on the buffer name
+        self._partner = None
+
+    def __call__(self, name: str, shape: tuple, count: int) -> tuple:
+        views = self._views.get((name, shape, count))
+        if views is None:
+            size = math.prod(shape)
+            buffer = self._buffers.get(name)
+            if buffer is None or buffer.size < count * size:
+                buffer = self._buffers[name] = np.empty(count * size)
+                self._views.clear()  # arrays on the old buffer would keep it alive
+            elif len(self._views) >= _MAX_VIEWS:
+                self._views.clear()
+            views = self._views[name, shape, count] = tuple(
+                buffer[i * size : (i + 1) * size].reshape(shape) for i in range(count)
+            )
+        return views
+
+    @property
+    def partner(self) -> "Scratch":
+        if self._partner is None:
+            self._partner = Scratch()
+        return self._partner
+
+
+def _fresh(name: str, shape: tuple, count: int) -> tuple:
+    """New arrays for every request: the buffers of a call without a Scratch."""
+    return tuple(np.empty(shape) for _ in range(count))
 
 
 @dataclass(frozen=True)
@@ -41,7 +99,7 @@ class PerfectMirror:
     perfect-mirror limit.
     """
 
-    def amplitude_imaginary(self, xi, k):
+    def amplitude_imaginary(self, xi, k, scratch=None):
         return -1.0, 1.0
 
     def amplitude_static(self, k):
@@ -78,19 +136,51 @@ class PlasmaMirror:
         plasma_wavelength = _check_positive("plasma wavelength", plasma_wavelength)
         return cls(plasma_frequency=2.0 * math.pi * C / plasma_wavelength)
 
-    def amplitude_imaginary(self, xi, k):
+    def amplitude_imaginary(self, xi, k, scratch=None):
+        """(r_TE, r_TM) at imaginary frequency xi and in-plane wavenumber k,
+        arrays of their broadcast shape: in the buffers of ``scratch``,
+        which the next call with it overwrites, or new without it."""
+        take = _fresh if scratch is None else scratch
         xi = np.asarray(xi, dtype=float)
         k = np.asarray(k, dtype=float)
-        q2 = (xi / C) ** 2
-        k2 = k * k
+        shape = np.broadcast(xi, k).shape
+        # factors of xi alone keep xi's shape
+        q2, a, eps, eps_1 = take("plasma xi", xi.shape, 4)
+        k2, kappa, kappa_m, d_te, d_tm = take("plasma", shape, 5)
         kp2 = (self.plasma_frequency / C) ** 2
-        kappa = np.sqrt(q2 + k2)
-        kappa_m = np.sqrt(q2 + kp2 + k2)
-        d_te = kp2 / (kappa + kappa_m)
-        a = (self.plasma_frequency / xi) ** 2
-        eps = 1.0 + a
-        d_tm = a * (eps * q2 + (eps + 1.0) * k2) / (eps * kappa + kappa_m)
-        return -d_te / (d_te + 2.0 * kappa), d_tm / (d_tm + 2.0 * kappa_m)
+        np.divide(xi, C, out=q2)
+        np.square(q2, out=q2)
+        np.multiply(k, k, out=k2)
+        np.add(q2, k2, out=kappa)
+        np.sqrt(kappa, out=kappa)
+        # (q2 + kp2) + k2, the sum broadcast over k's axes first
+        np.add(q2, kp2, out=kappa_m)
+        np.add(kappa_m, k2, out=kappa_m)
+        np.sqrt(kappa_m, out=kappa_m)
+        np.add(kappa, kappa_m, out=d_te)
+        np.divide(kp2, d_te, out=d_te)
+        np.divide(self.plasma_frequency, xi, out=a)
+        np.square(a, out=a)
+        np.add(1.0, a, out=eps)
+        # d_tm = a (eps q2 + (eps + 1) k2) / (eps kappa + kappa_m), the
+        # numerator formed over q2 and k2, which nothing needs after it
+        np.multiply(eps, q2, out=q2)
+        np.add(eps, 1.0, out=eps_1)
+        np.multiply(eps_1, k2, out=k2)
+        np.add(q2, k2, out=k2)
+        np.multiply(a, k2, out=k2)
+        np.multiply(eps, kappa, out=d_tm)
+        np.add(d_tm, kappa_m, out=d_tm)
+        np.divide(k2, d_tm, out=d_tm)
+        # r_TE = -d_te / (d_te + 2 kappa), r_TM = d_tm / (d_tm + 2 kappa_m)
+        np.multiply(2.0, kappa, out=kappa)
+        np.add(d_te, kappa, out=kappa)
+        np.negative(d_te, out=d_te)
+        np.divide(d_te, kappa, out=d_te)
+        np.multiply(2.0, kappa_m, out=kappa_m)
+        np.add(d_tm, kappa_m, out=kappa_m)
+        np.divide(d_tm, kappa_m, out=d_tm)
+        return d_te, d_tm
 
     def amplitude_static(self, k):
         """xi -> 0 limit at fixed k: TM -> +1, TE keeps its k dependence."""
@@ -105,9 +195,13 @@ Mirror = Union[PerfectMirror, PlasmaMirror]
 
 def reflection_amplitude_imaginary(model: Mirror, xi, k):
     """Imaginary-axis (TE, TM) reflection amplitudes of one mirror, real in
-    [-1, 1]: floats for scalar xi and k, else arrays of their broadcast shape.
+    [-1, 1]: floats for scalar xi and k, else new arrays of their broadcast
+    shape.
 
-    xi must be > 0 and k >= 0 (elementwise for array input).
+    xi must be > 0 and k >= 0 (elementwise for array input).  DomainError
+    names the first xi and k at which an amplitude is not finite, where
+    xi/c, k or omega_p/xi is so far out of range that its square
+    overflows or underflows.
     """
     xi_a = np.asarray(xi, dtype=float)
     k_a = np.asarray(k, dtype=float)
@@ -121,7 +215,13 @@ def reflection_amplitude_imaginary(model: Mirror, xi, k):
         raise DomainError(
             f"xi of shape {xi_a.shape} and k of shape {k_a.shape} do not broadcast"
         ) from None
-    pair = model.amplitude_imaginary(xi_a, k_a)
+    with np.errstate(all="ignore"):
+        pair = model.amplitude_imaginary(xi_a, k_a)
+    finite = np.isfinite(pair[0]) & np.isfinite(pair[1])
+    if not np.all(finite):
+        i = np.argmin(np.broadcast_to(finite, shape))
+        xi_i, k_i = (float(np.broadcast_to(a, shape).flat[i]) for a in (xi_a, k_a))
+        raise DomainError(f"reflection amplitudes are not finite at xi={xi_i!r} rad/s, k={k_i!r} 1/m")
     if shape == ():
         return tuple(float(r) for r in pair)
     return tuple(np.full(shape, r) for r in pair)
@@ -140,12 +240,15 @@ class CavityReflection:
     def both_perfect(self) -> bool:
         return isinstance(self.mirror1, PerfectMirror) and isinstance(self.mirror2, PerfectMirror)
 
-    def amplitude_imaginary(self, xi, k):
-        te1, tm1 = self.mirror1.amplitude_imaginary(xi, k)
+    def amplitude_imaginary(self, xi, k, scratch=None):
+        """Loop amplitudes (r_TE, r_TM), written over the first mirror's
+        arrays: in ``scratch``, whose ``partner`` holds the second mirror's
+        of an unequal pair, or new without it."""
+        te1, tm1 = self.mirror1.amplitude_imaginary(xi, k, scratch)
         if self.mirror2 == self.mirror1:
-            return te1 * te1, tm1 * tm1
-        te2, tm2 = self.mirror2.amplitude_imaginary(xi, k)
-        return te1 * te2, tm1 * tm2
+            return _product(te1, te1), _product(tm1, tm1)
+        te2, tm2 = self.mirror2.amplitude_imaginary(xi, k, None if scratch is None else scratch.partner)
+        return _product(te1, te2), _product(tm1, tm2)
 
     def amplitude_static(self, k):
         te1, tm1 = self.mirror1.amplitude_static(k)
@@ -153,6 +256,16 @@ class CavityReflection:
             return te1 * te1, tm1 * tm1
         te2, tm2 = self.mirror2.amplitude_static(k)
         return te1 * te2, tm1 * tm2
+
+
+def _product(r1, r2):
+    """r1 * r2, written over r1 or else r2 where that is an array; a mirror
+    returns arrays of its own, so no caller's array is overwritten."""
+    if isinstance(r1, np.ndarray):
+        return np.multiply(r1, r2, out=r1)
+    if isinstance(r2, np.ndarray):
+        return np.multiply(r1, r2, out=r2)
+    return r1 * r2
 
 
 def airy_factor(r_p: complex, kappa_L: float) -> float:

@@ -3,7 +3,10 @@ sums, correction sweeps, and the sphere-plane mapping."""
 
 import dataclasses
 import math
+import pickle
 import re
+import sys
+import threading
 import time
 import warnings
 
@@ -229,6 +232,67 @@ def plasma_zero_t_dblquad(L, plasma_wavelength):
         j_e, _ = scipy_integrate.dblquad(energy_kernel, 1e-12, 80.0, 0.0, 80.0, epsabs=0.0, epsrel=1e-11)
         j_f, _ = scipy_integrate.dblquad(force_kernel, 1e-12, 80.0, 0.0, 80.0, epsabs=0.0, epsrel=1e-11)
     return prefactor * j_e / L**3, prefactor * j_f / L**4
+
+
+def expression_loop_amplitudes(cavity_reflection, xi, k):
+    """Loop amplitudes with a new array for every intermediate: the
+    expression-style evaluation that the buffered one replaced, kept as its
+    reference."""
+
+    def mirror_pair(mirror):
+        if isinstance(mirror, PerfectMirror):
+            return -1.0, 1.0
+        wp = mirror.plasma_frequency
+        q2 = (xi / C) ** 2
+        k2 = k * k
+        kp2 = (wp / C) ** 2
+        kappa = np.sqrt(q2 + k2)
+        kappa_m = np.sqrt(q2 + kp2 + k2)
+        d_te = kp2 / (kappa + kappa_m)
+        a = (wp / xi) ** 2
+        eps = 1.0 + a
+        d_tm = a * (eps * q2 + (eps + 1.0) * k2) / (eps * kappa + kappa_m)
+        return -d_te / (d_te + 2.0 * kappa), d_tm / (d_tm + 2.0 * kappa_m)
+
+    te1, tm1 = mirror_pair(cavity_reflection.mirror1)
+    te2, tm2 = mirror_pair(cavity_reflection.mirror2)
+    return te1 * te2, tm1 * tm2
+
+
+def expression_kernels(amplitudes, u):
+    r_te, r_tm = amplitudes
+    emu = np.exp(-u)
+    x_te = r_te * emu
+    x_tm = r_tm * emu
+    g_e = -(np.log1p(-x_te) + np.log1p(-x_tm))
+    g_f = x_te / (1.0 - x_te) + x_tm / (1.0 - x_tm)
+    return g_e, g_f
+
+
+def expression_zero_t_inner(cavity_reflection, L, phis, u):
+    """The T = 0 u-integrand in expression style, the reference of
+    ``casimir._zero_t_inner``."""
+    cos_phi, sin_phi = np.cos(phis), np.sin(phis)
+    uc = u[:, None]
+    xi = (0.5 * C / L) * cos_phi * uc
+    k = (0.5 / L) * sin_phi * uc
+    g_e, g_f = expression_kernels(expression_loop_amplitudes(cavity_reflection, xi, k), uc)
+    u2 = uc * uc
+    out = np.empty((u.size, 2 * phis.size))
+    out[:, : phis.size] = u2 * g_e
+    out[:, phis.size :] = u2 * uc * g_f
+    return out
+
+
+def expression_matsubara_block(cavity_reflection, L, du, theta, n, s):
+    """The Matsubara block integrand in expression style, the reference of
+    ``casimir._matsubara_block``."""
+    u_n, xi = n * du, n * theta
+    sc = s[:, None]
+    u = u_n + sc
+    k = (0.5 / L) * np.sqrt(sc * (sc + 2.0 * u_n))
+    g_e, g_f = expression_kernels(expression_loop_amplitudes(cavity_reflection, xi, k), u)
+    return np.concatenate([u * g_e, u * u * g_f], axis=1)
 
 
 class TestIdealClosedForms:
@@ -607,7 +671,7 @@ class TestMatsubaraSum:
     def test_block_failure_names_its_terms(self, monkeypatch):
         # only the terms n >= 1 use the imaginary-axis amplitudes; at 1 um
         # and 300 K they end at n_max = floor(80 / du) = 48, in one block
-        nan = lambda self, xi, k: (np.full(np.broadcast_shapes(np.shape(xi), np.shape(k)), np.nan),) * 2
+        nan = lambda self, xi, k, scratch=None: (np.full(np.broadcast_shapes(np.shape(xi), np.shape(k)), np.nan),) * 2
         monkeypatch.setattr(CavityReflection, "amplitude_imaginary", nan)
         with pytest.raises(ConvergenceError, match=r"n=1, 2, 3, .*, 47, 48 \(L=1\.000e-06 m, T=300\.0 K"):
             thermal_force(cavity(1e-6, 300.0, GOLD))
@@ -620,6 +684,87 @@ class TestMatsubaraSum:
         monkeypatch.setattr(casimir, "_MATSUBARA_MAX_TERMS", 50)
         with pytest.raises(ConvergenceError, match=rf"exceeded 50 terms \({re.escape(text)}\)"):
             thermal_force(cavity(L, T, GOLD))
+
+
+def symmetric_pair(plasma_wavelength):
+    mirror = PlasmaMirror.from_wavelength(plasma_wavelength)
+    return CavityReflection(mirror, mirror)
+
+
+BUFFERED_PAIRS = {
+    "perfect-plasma": CavityReflection(PERFECT, GOLD),
+    "plasma-perfect": CavityReflection(GOLD, PERFECT),
+    "30nm": symmetric_pair(30e-9),
+    "136nm": symmetric_pair(136e-9),
+    "1um": symmetric_pair(1e-6),
+    "136/231nm": CavityReflection(GOLD, PlasmaMirror.from_wavelength(231e-9)),
+}
+
+
+class TestBufferedIntegrands:
+    # (nodes, columns) that grow, shrink and grow again, so that a buffer's
+    # stale contents would show in a result; 84 and 231 nodes are the
+    # Matsubara and T = 0 start meshes, 42 a refinement step
+    SHAPES = [(84, 128), (42, 5), (231, 42), (42, 128), (84, 5), (231, 128)]
+
+    @pytest.mark.parametrize("pair", BUFFERED_PAIRS.values(), ids=BUFFERED_PAIRS.keys())
+    def test_bit_equal_to_expression_style(self, pair):
+        L, T = 0.3e-6, 300.0
+        theta = ThermalState(T).temperature_frequency
+        du = 2.0 * theta * L / C
+        rng = np.random.default_rng(19)
+        for q, c in self.SHAPES:
+            nodes = np.sort(rng.uniform(0.0, casimir._U_SPAN, q))
+            phis = np.sort(rng.uniform(0.0, 0.5 * math.pi, c))
+            n = np.arange(1, c + 1)
+            # each buffered result is compared before the next call reuses it
+            got = casimir._zero_t_inner(pair, L, phis)(nodes)
+            want = expression_zero_t_inner(pair, L, phis, nodes)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (q, c)
+            got = casimir._matsubara_block(pair, L, du, theta, n)(nodes)
+            want = expression_matsubara_block(pair, L, du, theta, n, nodes)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (q, c)
+
+
+class TestThreads:
+    def test_concurrent_calls_match_solo_runs(self):
+        # the integrands' buffers are per thread: four threads on different
+        # pairs, half at T = 0, give the bits of each call run alone
+        calls = [
+            (thermal_force, cavity(1e-6, 0.0, GOLD)),
+            (thermal_force, cavity(0.4e-6, 300.0, PlasmaMirror.from_wavelength(231e-9))),
+            (sphere_plane_force, SpherePlaneConfig(R=1e-4, L=0.1e-6, temperature=0.0,
+                                                   mirrors=symmetric_pair(30e-9))),
+            (sphere_plane_force, SpherePlaneConfig(R=1e-3, L=2e-6, temperature=77.0,
+                                                   mirrors=symmetric_pair(1e-6))),
+        ]
+        solo = [pickle.dumps(call(config)) for call, config in calls]
+        results = [[] for _ in calls]
+        errors = []
+        barrier = threading.Barrier(len(calls))
+
+        def run(i):
+            call, config = calls[i]
+            try:
+                barrier.wait(timeout=60)
+                for _ in range(20):
+                    results[i].append(pickle.dumps(call(config)))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == [[ref] * 20 for ref in solo]
 
 
 def mpmath_static_integrals(L, plasma_wavelength, partner_perfect):

@@ -1,6 +1,7 @@
 """Reflection amplitudes, the Airy factor, and material presets."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from vacuumkit import (
     preset_mirror,
     reflection_amplitude_imaginary,
 )
-from vacuumkit.mirrors import MATERIALS_ENV_VAR
+from vacuumkit.mirrors import MATERIALS_ENV_VAR, Scratch
 
 TE, TM = 0, 1  # positions in an amplitude pair
 GOLD = PlasmaMirror.from_wavelength(136e-9)
@@ -95,6 +96,18 @@ class TestPlasmaAmplitudes:
     def test_domain_error_on_negative_k(self):
         with pytest.raises(DomainError):
             reflection_amplitude_imaginary(GOLD, 1e14, -1.0)
+
+    # finite inputs where (xi/c)^2, k^2 or (omega_p/xi)^2 leaves the float
+    # range and the TM amplitude would be NaN
+    @pytest.mark.parametrize("xi, k", [(1e-300, 0.0), (1e-130, 1e6), (1e200, 0.0), (1e14, 1e160)])
+    def test_domain_error_names_xi_and_k_where_not_finite(self, xi, k):
+        with pytest.raises(DomainError, match=re.escape(f"xi={xi!r} rad/s, k={k!r} 1/m")):
+            reflection_amplitude_imaginary(GOLD, xi, k)
+
+    def test_domain_error_names_the_first_element_not_finite(self):
+        xi = np.array([1e14, 1e200, 1e-300])
+        with pytest.raises(DomainError, match=re.escape("xi=1e+200 rad/s, k=2.0 1/m")):
+            reflection_amplitude_imaginary(GOLD, xi, np.array([[2.0], [3.0]]))
 
 
 def test_amplitudes_match_mpmath_near_transparency():
@@ -245,6 +258,46 @@ class TestCavityReflection:
         plasma_calls.clear()
         CavityReflection(GOLD, other).amplitude_static(k)
         assert plasma_calls == [("amplitude_static", GOLD), ("amplitude_static", other)]
+
+
+class TestScratch:
+    XI = np.array([1e13, 3e14, 2e16])
+    K = np.array([[2e5], [2e6], [7e7]])
+
+    def test_calls_without_scratch_return_new_arrays(self):
+        for call in (GOLD.amplitude_imaginary, CavityReflection(GOLD, GOLD).amplitude_imaginary):
+            first, second = call(self.XI, self.K), call(self.XI, self.K)
+            for a, b in zip(first, second):
+                assert not np.shares_memory(a, b)
+                assert not np.shares_memory(a, self.XI) and not np.shares_memory(a, self.K)
+                np.testing.assert_array_equal(a, b)
+        public = reflection_amplitude_imaginary(GOLD, self.XI, self.K)
+        assert not any(np.shares_memory(r, g) for r in public for g in GOLD.amplitude_imaginary(self.XI, self.K))
+
+    @pytest.mark.parametrize("second", [GOLD, PlasmaMirror.from_wavelength(231e-9), PerfectMirror()],
+                             ids=["symmetric", "unequal", "perfect"])
+    def test_scratch_keeps_the_bits_and_reuses_its_buffers(self, second):
+        pair = CavityReflection(GOLD, second)
+        scratch = Scratch()
+        expected = pair.amplitude_imaginary(self.XI, self.K)
+        got = pair.amplitude_imaginary(self.XI, self.K, scratch)
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+        # a smaller call writes into the same buffers
+        again = pair.amplitude_imaginary(self.XI[:2], self.K[:2], scratch)
+        for a, b in zip(again, got):
+            assert a.base is b.base
+        for a, b in zip(again, pair.amplitude_imaginary(self.XI[:2], self.K[:2])):
+            assert a.tobytes() == b.tobytes()
+
+    def test_buffer_grows_to_the_largest_request_and_is_kept(self):
+        scratch = Scratch()
+        (small,) = scratch("x", (2, 3), 1)
+        large_a, large_b = scratch("x", (4, 5), 2)
+        assert not np.shares_memory(large_a, large_b)
+        assert large_a.flags.c_contiguous and large_a.shape == (4, 5)
+        (again,) = scratch("x", (2, 3), 1)
+        assert again.base is large_a.base and small.base is not large_a.base
 
 
 class TestMaterialPresets:
