@@ -21,10 +21,10 @@ with the polarization-summed kernels
 
     G_E = sum_p -ln(1 - r_p e^-u),   G_F = sum_p r_p e^-u / (1 - r_p e^-u),
 
-r_p the loop amplitude of the mirror pair at xi = (c u / 2L) cos(phi),
-k = (u / 2L) sin(phi).  At finite temperature the xi integral becomes the
-Matsubara sum over xi_n = n * 2 pi k_B T / hbar with the n = 0 term at
-half weight:
+r_p the loop amplitude of the mirror pair at xi = (c u / 2L) cos(phi)
+and kappa = u / 2L (in-plane k = kappa sin(phi)).  At finite temperature
+the xi integral becomes the Matsubara sum over xi_n = n * 2 pi k_B T / hbar
+with the n = 0 term at half weight:
 
     E/A = k_B T / (8 pi L^2) * Sum'_n Int_{u_n} du u   G_E(u; xi_n)
     F/A = k_B T / (8 pi L^3) * Sum'_n Int_{u_n} du u^2 G_F(u; xi_n)
@@ -344,26 +344,29 @@ def _relative(error, value) -> float:
     return float(np.max(error / scale))
 
 
-def _u_quadrature(f, names, context: str, depth: int):
-    """(value, absolute error) of every column of f over u in [0, U_SPAN].
+def _u_quadrature(f, names, context: str, depth: int, offset=0.0):
+    """(offset + value, absolute error) of every column of f over [0, U_SPAN].
 
     f maps nodes of shape (q,) to values of shape (q, 2c): c energy
     columns, then the c force columns.  Refinement starts from the dyadic
     chain of ``depth``, with edges at U_SPAN 2^-depth, ..., U_SPAN/2, which
     the caller's kernels always reach.  Each column meets the inner
     tolerance on its own, as the quadrature ranks panels per column in
-    units of its own integral of |f|.  A ConvergenceError names the
+    units of its own integral of |f|, or else within the tolerance of
+    offset + value, the term it joins.  A ConvergenceError names the
     failing column pairs by ``names(mask)`` and adds ``context``.
     """
     points = [math.ldexp(_U_SPAN, -d) for d in range(depth, 0, -1)]
     res = adaptive_gauss_legendre(f, 0.0, _U_SPAN, rel_tol=_INNER_REL_TOL, points=points)
+    value = res.value + offset
     if not res.converged:
-        failing = (res.error > _INNER_REL_TOL * np.abs(res.value)).reshape(2, -1).any(axis=0)
-        raise ConvergenceError(
-            f"inner u-quadrature did not converge at {names(failing if failing.any() else ~failing)} "
-            f"({context}, error estimate {float(np.max(res.error))})"
-        )
-    return res.value, res.error
+        failing = ~(res.error <= _INNER_REL_TOL * np.abs(value)).reshape(2, -1).all(axis=0)  # NaN fails
+        if failing.any():
+            raise ConvergenceError(
+                f"inner u-quadrature did not converge at {names(failing)} "
+                f"({context}, error estimate {float(np.max(res.error))})"
+            )
+    return value, res.error
 
 
 def _zero_t_inner(cavity: CavityReflection, L: float, phis):
@@ -372,19 +375,17 @@ def _zero_t_inner(cavity: CavityReflection, L: float, phis):
     array of q m elements is a buffer of this thread's scratch, the result
     too, which the next call overwrites."""
     xi_scale = (0.5 * C / L) * np.cos(phis)
-    k_scale = (0.5 / L) * np.sin(phis)
     m = phis.size
 
     def inner(u):
-        # exp(-u) and u^2 on the u axis, the amplitudes on the (u, phi)
+        # exp(-u), u^2 and kappa = u / 2L on the u axis, xi on the (u, phi)
         # grid; the products broadcast a perfect pair's scalar amplitudes
         # over that grid
         scratch = _SCRATCH
         uc = u[:, None]
-        xi, k = scratch("grid", (u.size, m), 2)
+        (xi,) = scratch("grid", (u.size, m), 1)
         np.multiply(xi_scale, uc, out=xi)
-        np.multiply(k_scale, uc, out=k)
-        g_e, g_f = _kernels(cavity.amplitude_imaginary(xi, k, scratch), uc, scratch)
+        g_e, g_f = _kernels(cavity.amplitude_imaginary(xi, (0.5 / L) * uc, scratch), uc, scratch)
         u2 = uc * uc
         (out,) = scratch("integrand", (u.size, 2 * m), 1)
         np.multiply(u2, g_e, out=out[:, :m])
@@ -401,20 +402,14 @@ def _matsubara_block(cavity: CavityReflection, L: float, du: float, theta: float
     of this thread's scratch, the result too, which the next call
     overwrites."""
     u_n, xi = n * du, n * theta
-    two_u_n = 2.0 * u_n
     c = n.size
 
     def block(s):
         scratch = _SCRATCH
-        sc = s[:, None]
-        u, k = scratch("grid", (s.size, c), 2)
-        np.add(u_n, sc, out=u)
-        # k = (0.5 / L) sqrt(s (s + 2 u_n))
-        np.add(sc, two_u_n, out=k)
-        np.multiply(sc, k, out=k)
-        np.sqrt(k, out=k)
-        np.multiply(0.5 / L, k, out=k)
-        g_e, g_f = _kernels(cavity.amplitude_imaginary(xi, k, scratch), u, scratch)
+        u, kappa = scratch("grid", (s.size, c), 2)
+        np.add(u_n, s[:, None], out=u)
+        np.multiply(0.5 / L, u, out=kappa)
+        g_e, g_f = _kernels(cavity.amplitude_imaginary(xi, kappa, scratch), u, scratch)
         (out,) = scratch("integrand", (s.size, 2 * c), 1)
         np.multiply(u, g_e, out=out[:, :c])
         u2 = np.multiply(u, u, out=g_e)
@@ -475,9 +470,9 @@ def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
         return np.stack([u * g_e, u * u * g_f], axis=-1)
 
     # n = 0: the perfect-pair parts in closed form (their share past the
-    # u-cut is below 1e-30), and the smooth remainder by quadrature
-    value, error = _u_quadrature(static_term, lambda bad: "n=0", context, _MATSUBARA_DEPTH)
-    value = value + _PERFECT_STATIC
+    # u-cut is below 1e-30), and the smooth remainder by quadrature, held
+    # to the tolerance of the term they form
+    value, error = _u_quadrature(static_term, lambda bad: "n=0", context, _MATSUBARA_DEPTH, _PERFECT_STATIC)
     totals, quad_err, tail = 0.5 * value, 0.5 * error, np.zeros(2)
     mags = np.max(np.abs(totals), keepdims=True)
 

@@ -11,10 +11,11 @@ function.  ``airy_factor`` evaluates the real-axis redistribution factor
 for a loop amplitude supplied by the caller.
 
 Every amplitude method returns the pair (r_TE, r_TM) that each spectral
-sum needs; a plasma mirror forms kappa and kappa_m once for both.  A perfect
-mirror's pair is the scalars (-1.0, 1.0); ``reflection_amplitude_imaginary``
-checks its inputs and shapes the pair to them.  A cavity of two equal
-mirrors evaluates the mirror once and squares its pair, which gives the
+sum needs.  The imaginary-axis methods take xi and the decay constant
+kappa = sqrt(xi^2/c^2 + k^2), which the Casimir integrands hold as u/2L;
+``reflection_amplitude_imaginary``, the entry in xi and the in-plane
+wavenumber k, alone forms it.  A perfect mirror's pair is the scalars
+(-1.0, 1.0).  A cavity of two equal mirrors evaluates the mirror once and squares its pair, which gives the
 same bits as the product of two evaluations.
 
 The imaginary-axis amplitudes take an optional ``Scratch``: named float64
@@ -37,7 +38,7 @@ from typing import Union
 import numpy as np
 
 from .constants import C
-from .errors import DomainError, SingularResonanceError, _check_positive
+from .errors import DomainError, SingularResonanceError, _check_finite, _check_positive
 
 
 # tuples of arrays a Scratch keeps, one per name, shape and count, so that a
@@ -99,7 +100,7 @@ class PerfectMirror:
     perfect-mirror limit.
     """
 
-    def amplitude_imaginary(self, xi, k, scratch=None):
+    def amplitude_imaginary(self, xi, kappa, scratch=None):
         return -1.0, 1.0
 
     def amplitude_static(self, k):
@@ -110,21 +111,22 @@ class PerfectMirror:
 class PlasmaMirror:
     """Lossless metal with plasma frequency omega_p.
 
-    eps(i xi) = 1 + omega_p^2 / xi^2, kappa_m = sqrt(eps xi^2/c^2 + k^2),
+    eps(i xi) = 1 + omega_p^2 / xi^2, kappa_m = sqrt(kappa^2 + omega_p^2/c^2),
     TE: (kappa - kappa_m)/(kappa + kappa_m),
     TM: (eps kappa - kappa_m)/(eps kappa + kappa_m).
 
-    Both numerators are formed without cancellation (a = eps - 1):
-    kappa_m - kappa = (omega_p/c)^2/(kappa + kappa_m),
-    eps kappa - kappa_m = a (eps xi^2/c^2 + (eps+1) k^2)/(eps kappa + kappa_m).
+    Both are formed as d/(d + positive), so |r| <= 1 by construction, with
+    numerators free of cancellation (a = eps - 1):
+    d_te = (omega_p/c)^2/(kappa + kappa_m), r_TE = -d_te/(d_te + 2 kappa),
+    d_tm = a ((eps+1) kappa^2 - xi^2/c^2)/(eps kappa + kappa_m), r_TM = d_tm/(d_tm + 2 kappa_m).
     """
 
     plasma_frequency: float  # rad/s
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "plasma_frequency", _check_positive("plasma frequency", self.plasma_frequency)
-        )
+        wp = _check_positive("plasma frequency", self.plasma_frequency)
+        _check_finite("(omega_p/c)^2", (wp / C) * (wp / C), plasma_frequency=wp)
+        object.__setattr__(self, "plasma_frequency", wp)
 
     @property
     def plasma_wavelength(self) -> float:
@@ -136,50 +138,45 @@ class PlasmaMirror:
         plasma_wavelength = _check_positive("plasma wavelength", plasma_wavelength)
         return cls(plasma_frequency=2.0 * math.pi * C / plasma_wavelength)
 
-    def amplitude_imaginary(self, xi, k, scratch=None):
-        """(r_TE, r_TM) at imaginary frequency xi and in-plane wavenumber k,
-        arrays of their broadcast shape: in the buffers of ``scratch``,
-        which the next call with it overwrites, or new without it."""
+    def amplitude_imaginary(self, xi, kappa, scratch=None):
+        """(r_TE, r_TM) at imaginary frequency xi and decay constant kappa:
+        r_TE of kappa's shape, r_TM of the broadcast shape, in the buffers of
+        ``scratch``, which the next call with it overwrites, or new without
+        it."""
         take = _fresh if scratch is None else scratch
         xi = np.asarray(xi, dtype=float)
-        k = np.asarray(k, dtype=float)
-        shape = np.broadcast(xi, k).shape
-        # factors of xi alone keep xi's shape
-        q2, a, eps, eps_1 = take("plasma xi", xi.shape, 4)
-        k2, kappa, kappa_m, d_te, d_tm = take("plasma", shape, 5)
+        kappa = np.asarray(kappa, dtype=float)
         kp2 = (self.plasma_frequency / C) ** 2
+        # factors of xi alone keep xi's shape, those of kappa alone kappa's
+        q2, a, eps, eps_1 = take("plasma xi", xi.shape, 4)
+        kappa2, kappa_m, d_te = take("plasma kappa", kappa.shape, 3)
+        num, d_tm = take("plasma", np.broadcast(xi, kappa).shape, 2)
         np.divide(xi, C, out=q2)
         np.square(q2, out=q2)
-        np.multiply(k, k, out=k2)
-        np.add(q2, k2, out=kappa)
-        np.sqrt(kappa, out=kappa)
-        # (q2 + kp2) + k2, the sum broadcast over k's axes first
-        np.add(q2, kp2, out=kappa_m)
-        np.add(kappa_m, k2, out=kappa_m)
+        np.square(kappa, out=kappa2)
+        np.add(kappa2, kp2, out=kappa_m)
         np.sqrt(kappa_m, out=kappa_m)
         np.add(kappa, kappa_m, out=d_te)
         np.divide(kp2, d_te, out=d_te)
         np.divide(self.plasma_frequency, xi, out=a)
         np.square(a, out=a)
         np.add(1.0, a, out=eps)
-        # d_tm = a (eps q2 + (eps + 1) k2) / (eps kappa + kappa_m), the
-        # numerator formed over q2 and k2, which nothing needs after it
-        np.multiply(eps, q2, out=q2)
+        # d_tm = a ((eps + 1) kappa^2 - q2) / (eps kappa + kappa_m)
         np.add(eps, 1.0, out=eps_1)
-        np.multiply(eps_1, k2, out=k2)
-        np.add(q2, k2, out=k2)
-        np.multiply(a, k2, out=k2)
+        np.multiply(eps_1, kappa2, out=num)
+        np.subtract(num, q2, out=num)
+        np.multiply(a, num, out=num)
         np.multiply(eps, kappa, out=d_tm)
         np.add(d_tm, kappa_m, out=d_tm)
-        np.divide(k2, d_tm, out=d_tm)
+        np.divide(num, d_tm, out=d_tm)
         # r_TE = -d_te / (d_te + 2 kappa), r_TM = d_tm / (d_tm + 2 kappa_m)
-        np.multiply(2.0, kappa, out=kappa)
-        np.add(d_te, kappa, out=kappa)
+        np.multiply(2.0, kappa, out=kappa2)
+        np.add(d_te, kappa2, out=kappa2)
         np.negative(d_te, out=d_te)
-        np.divide(d_te, kappa, out=d_te)
+        np.divide(d_te, kappa2, out=d_te)
         np.multiply(2.0, kappa_m, out=kappa_m)
-        np.add(d_tm, kappa_m, out=kappa_m)
-        np.divide(d_tm, kappa_m, out=d_tm)
+        np.add(d_tm, kappa_m, out=num)
+        np.divide(d_tm, num, out=d_tm)
         return d_te, d_tm
 
     def amplitude_static(self, k):
@@ -198,10 +195,10 @@ def reflection_amplitude_imaginary(model: Mirror, xi, k):
     [-1, 1]: floats for scalar xi and k, else new arrays of their broadcast
     shape.
 
-    xi must be > 0 and k >= 0 (elementwise for array input).  DomainError
-    names the first xi and k at which an amplitude is not finite, where
-    xi/c, k or omega_p/xi is so far out of range that its square
-    overflows or underflows.
+    xi must be > 0 and k >= 0 (elementwise for array input); the mirror
+    gets kappa = sqrt(xi^2/c^2 + k^2).  DomainError names the first xi and
+    k at which an amplitude is not finite, where xi/c, k or omega_p/xi is
+    so far out of range that its square overflows or underflows.
     """
     xi_a = np.asarray(xi, dtype=float)
     k_a = np.asarray(k, dtype=float)
@@ -216,7 +213,7 @@ def reflection_amplitude_imaginary(model: Mirror, xi, k):
             f"xi of shape {xi_a.shape} and k of shape {k_a.shape} do not broadcast"
         ) from None
     with np.errstate(all="ignore"):
-        pair = model.amplitude_imaginary(xi_a, k_a)
+        pair = model.amplitude_imaginary(xi_a, np.sqrt(np.square(xi_a / C) + np.square(k_a)))
     finite = np.isfinite(pair[0]) & np.isfinite(pair[1])
     if not np.all(finite):
         i = np.argmin(np.broadcast_to(finite, shape))
@@ -240,14 +237,14 @@ class CavityReflection:
     def both_perfect(self) -> bool:
         return isinstance(self.mirror1, PerfectMirror) and isinstance(self.mirror2, PerfectMirror)
 
-    def amplitude_imaginary(self, xi, k, scratch=None):
-        """Loop amplitudes (r_TE, r_TM), written over the first mirror's
-        arrays: in ``scratch``, whose ``partner`` holds the second mirror's
-        of an unequal pair, or new without it."""
-        te1, tm1 = self.mirror1.amplitude_imaginary(xi, k, scratch)
+    def amplitude_imaginary(self, xi, kappa, scratch=None):
+        """Loop amplitudes (r_TE, r_TM) at xi and kappa, written over the
+        first mirror's arrays: in ``scratch``, whose ``partner`` holds the
+        second mirror's of an unequal pair, or new without it."""
+        te1, tm1 = self.mirror1.amplitude_imaginary(xi, kappa, scratch)
         if self.mirror2 == self.mirror1:
             return _product(te1, te1), _product(tm1, tm1)
-        te2, tm2 = self.mirror2.amplitude_imaginary(xi, k, None if scratch is None else scratch.partner)
+        te2, tm2 = self.mirror2.amplitude_imaginary(xi, kappa, None if scratch is None else scratch.partner)
         return _product(te1, te2), _product(tm1, tm2)
 
     def amplitude_static(self, k):

@@ -8,6 +8,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -147,8 +148,7 @@ def zero_t_per_phi_loop(cavity_reflection, L):
 
             def inner(u):
                 xi = (0.5 * C / L) * math.cos(phi) * u
-                k = (0.5 / L) * math.sin(phi) * u
-                g_e, g_f = casimir._kernels(cavity_reflection.amplitude_imaginary(xi, k), u)
+                g_e, g_f = casimir._kernels(cavity_reflection.amplitude_imaginary(xi, (0.5 / L) * u), u)
                 return np.stack([u * u * g_e, u**3 * g_f], axis=-1)
 
             res = adaptive_gauss_legendre(inner, 0.0, 80.0, rel_tol=1e-10)
@@ -172,13 +172,11 @@ def matsubara_per_term_loop(cavity_reflection, L, T):
     for n in range(200_000):
         u_n = n * du
 
-        def integrand(u, n=n, u_n=u_n):
+        def integrand(u, n=n):
             if n == 0:
-                k = (0.5 / L) * u
-                amplitudes = cavity_reflection.amplitude_static(k)
+                amplitudes = cavity_reflection.amplitude_static((0.5 / L) * u)
             else:
-                k = (0.5 / L) * np.sqrt(np.maximum(u * u - u_n * u_n, 0.0))
-                amplitudes = cavity_reflection.amplitude_imaginary(n * theta, k)
+                amplitudes = cavity_reflection.amplitude_imaginary(n * theta, (0.5 / L) * u)
             g_e, g_f = casimir._kernels(amplitudes, u)
             return np.stack([u * g_e, u * u * g_f], axis=-1)
 
@@ -234,24 +232,23 @@ def plasma_zero_t_dblquad(L, plasma_wavelength):
     return prefactor * j_e / L**3, prefactor * j_f / L**4
 
 
-def expression_loop_amplitudes(cavity_reflection, xi, k):
-    """Loop amplitudes with a new array for every intermediate: the
-    expression-style evaluation that the buffered one replaced, kept as its
-    reference."""
+def expression_loop_amplitudes(cavity_reflection, xi, kappa):
+    """Loop amplitudes at xi and kappa with a new array for every
+    intermediate: the expression-style evaluation that the buffered one
+    replaced, kept as its reference."""
 
     def mirror_pair(mirror):
         if isinstance(mirror, PerfectMirror):
             return -1.0, 1.0
         wp = mirror.plasma_frequency
         q2 = (xi / C) ** 2
-        k2 = k * k
+        kappa2 = kappa**2
         kp2 = (wp / C) ** 2
-        kappa = np.sqrt(q2 + k2)
-        kappa_m = np.sqrt(q2 + kp2 + k2)
+        kappa_m = np.sqrt(kappa2 + kp2)
         d_te = kp2 / (kappa + kappa_m)
         a = (wp / xi) ** 2
         eps = 1.0 + a
-        d_tm = a * (eps * q2 + (eps + 1.0) * k2) / (eps * kappa + kappa_m)
+        d_tm = a * ((eps + 1.0) * kappa2 - q2) / (eps * kappa + kappa_m)
         return -d_te / (d_te + 2.0 * kappa), d_tm / (d_tm + 2.0 * kappa_m)
 
     te1, tm1 = mirror_pair(cavity_reflection.mirror1)
@@ -272,11 +269,9 @@ def expression_kernels(amplitudes, u):
 def expression_zero_t_inner(cavity_reflection, L, phis, u):
     """The T = 0 u-integrand in expression style, the reference of
     ``casimir._zero_t_inner``."""
-    cos_phi, sin_phi = np.cos(phis), np.sin(phis)
     uc = u[:, None]
-    xi = (0.5 * C / L) * cos_phi * uc
-    k = (0.5 / L) * sin_phi * uc
-    g_e, g_f = expression_kernels(expression_loop_amplitudes(cavity_reflection, xi, k), uc)
+    xi = (0.5 * C / L) * np.cos(phis) * uc
+    g_e, g_f = expression_kernels(expression_loop_amplitudes(cavity_reflection, xi, (0.5 / L) * uc), uc)
     u2 = uc * uc
     out = np.empty((u.size, 2 * phis.size))
     out[:, : phis.size] = u2 * g_e
@@ -288,10 +283,8 @@ def expression_matsubara_block(cavity_reflection, L, du, theta, n, s):
     """The Matsubara block integrand in expression style, the reference of
     ``casimir._matsubara_block``."""
     u_n, xi = n * du, n * theta
-    sc = s[:, None]
-    u = u_n + sc
-    k = (0.5 / L) * np.sqrt(sc * (sc + 2.0 * u_n))
-    g_e, g_f = expression_kernels(expression_loop_amplitudes(cavity_reflection, xi, k), u)
+    u = u_n + s[:, None]
+    g_e, g_f = expression_kernels(expression_loop_amplitudes(cavity_reflection, xi, (0.5 / L) * u), u)
     return np.concatenate([u * g_e, u * u * g_f], axis=1)
 
 
@@ -671,7 +664,7 @@ class TestMatsubaraSum:
     def test_block_failure_names_its_terms(self, monkeypatch):
         # only the terms n >= 1 use the imaginary-axis amplitudes; at 1 um
         # and 300 K they end at n_max = floor(80 / du) = 48, in one block
-        nan = lambda self, xi, k, scratch=None: (np.full(np.broadcast_shapes(np.shape(xi), np.shape(k)), np.nan),) * 2
+        nan = lambda self, xi, kappa, scratch=None: (np.full(np.broadcast_shapes(np.shape(xi), np.shape(kappa)), np.nan),) * 2
         monkeypatch.setattr(CavityReflection, "amplitude_imaginary", nan)
         with pytest.raises(ConvergenceError, match=r"n=1, 2, 3, .*, 47, 48 \(L=1\.000e-06 m, T=300\.0 K"):
             thermal_force(cavity(1e-6, 300.0, GOLD))
@@ -684,6 +677,17 @@ class TestMatsubaraSum:
         monkeypatch.setattr(casimir, "_MATSUBARA_MAX_TERMS", 50)
         with pytest.raises(ConvergenceError, match=rf"exceeded 50 terms \({re.escape(text)}\)"):
             thermal_force(cavity(L, T, GOLD))
+
+    @pytest.mark.parametrize("T", [300.0, 3000.0])
+    def test_static_remainder_is_held_to_the_term_it_joins(self, T):
+        # at 0.1 m the n = 0 remainder of a 1 nm plasma pair is about -7.7e-9,
+        # known to about 1e-17 but never to 1e-10 of itself; 1e-10 of the
+        # n = 0 term 2 zeta(3) + remainder is what the sum needs
+        e_per_area, f_per_area, rel_err, _ = casimir._per_area(symmetric_pair(1e-9), 0.1, T)
+        assert rel_err < casimir._ERROR_CEILING
+        e_perfect, f_perfect, _, _, _ = casimir._perfect_thermal_per_area(0.1, T)
+        assert e_per_area == pytest.approx(e_perfect, rel=1e-7)
+        assert f_per_area == pytest.approx(f_perfect, rel=1e-7)
 
 
 def symmetric_pair(plasma_wavelength):
@@ -724,6 +728,28 @@ class TestBufferedIntegrands:
             got = casimir._matsubara_block(pair, L, du, theta, n)(nodes)
             want = expression_matsubara_block(pair, L, du, theta, n, nodes)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (q, c)
+
+    @pytest.mark.parametrize("pair", ["136nm", "136/231nm", "perfect-plasma"])
+    def test_warm_calls_allocate_no_grid_sized_array(self, pair):
+        # every (nodes, columns) array of a call is a kept buffer: the traced
+        # peak of a warm call is numpy's 64 kB iterator buffers, about 0.14 of
+        # one grid array; an expression-style integrand peaks above 1
+        pair = BUFFERED_PAIRS[pair]
+        L, T, q, c = 0.3e-6, 300.0, 231, 512
+        theta = ThermalState(T).temperature_frequency
+        du = 2.0 * theta * L / C
+        rng = np.random.default_rng(20)
+        nodes = np.sort(rng.uniform(0.0, casimir._U_SPAN, q))
+        phis = np.sort(rng.uniform(0.0, 0.5 * math.pi, c))
+        for f in (casimir._zero_t_inner(pair, L, phis), casimir._matsubara_block(pair, L, du, theta, np.arange(1, c + 1))):
+            f(nodes)
+            tracemalloc.start()
+            try:
+                f(nodes)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.5 * q * c * 8
 
 
 class TestThreads:

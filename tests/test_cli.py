@@ -196,6 +196,12 @@ class TestExitCodes:
         assert "too large" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_overflowing_plasma_frequency_is_two(self, capsys):
+        assert main(["force", "--length-um", "1", "--area-cm2", "1", "--material", "plasma:1e-161"]) == 2
+        captured = capsys.readouterr()
+        assert "plasma_frequency=" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize(
         "argv, source",

@@ -110,6 +110,13 @@ class TestPlasmaAmplitudes:
             reflection_amplitude_imaginary(GOLD, xi, np.array([[2.0], [3.0]]))
 
 
+def test_plasma_frequency_whose_square_overflows_is_refused():
+    # (omega_p/c)^2 leaves the float range below lambda_p = 4.7e-154 m
+    PlasmaMirror.from_wavelength(5e-154)
+    with pytest.raises(DomainError, match=r"\(omega_p/c\)\^2 is not finite at plasma_frequency="):
+        PlasmaMirror.from_wavelength(4e-154)
+
+
 def test_amplitudes_match_mpmath_near_transparency():
     # log-uniform xi in [1e6, 1e20] rad/s, k in [1, 1e11] 1/m and lambda_p
     # in [1 nm, 2 um], deep into the nearly transparent regime where
@@ -130,9 +137,10 @@ def test_amplitudes_match_mpmath_near_transparency():
             eps = 1 + (kp / q) ** 2
             kappa, kappa_m = mpmath.sqrt(q**2 + kk**2), mpmath.sqrt(eps * q**2 + kk**2)
             k_m = mpmath.sqrt(kk**2 + kp**2)
+            r_te, r_tm = mirror.amplitude_imaginary(xi_i, math.sqrt((xi_i / C) ** 2 + k_i**2))
             pairs = [
-                ((kappa - kappa_m) / (kappa + kappa_m), mirror.amplitude_imaginary(xi_i, k_i)[TE]),
-                ((eps * kappa - kappa_m) / (eps * kappa + kappa_m), mirror.amplitude_imaginary(xi_i, k_i)[TM]),
+                ((kappa - kappa_m) / (kappa + kappa_m), r_te),
+                ((eps * kappa - kappa_m) / (eps * kappa + kappa_m), r_tm),
                 ((kk - k_m) / (kk + k_m), mirror.amplitude_static(k_i)[TE]),
             ]
             worst = max(worst, max(float(abs(r - ref) / abs(ref)) for ref, r in pairs))
