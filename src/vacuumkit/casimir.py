@@ -42,14 +42,18 @@ Both report a round-off bound of 32 eps as their error estimate.
 Every u-integral runs through one batched routine, ``_u_quadrature``: a
 vector-valued quadrature over u in [0, 80], one column per integral, each
 column held to the inner tolerance on its own.  It starts from the dyadic
-chain of panels toward u = 0 that its refinement always reaches, of depth
-10 at T = 0 and 3 in the Matsubara sum, in one integrand call; the result
-is the same bits as refined from [0, 80] alone.  At T = 0 each refinement
+chain of panels toward u = 0 that its refinement always reaches, in one
+integrand call: of depth 10 at T = 0, 4 for n = 0, and for each block of
+n >= 1 terms the depth its first term's u_lo sets, 3 to 15
+(``_block_start``).  On the grids of BENCH_18.json and BENCH_21.json the
+result is the same bits as refined from [0, 80] alone.  At T = 0 each refinement
 step of the outer phi quadrature evaluates the phi integrand once, at the
 21 nodes of the first panel or the 42 nodes of both halves of a bisected
 one, and so runs one u-quadrature with twice as many columns.  The
-Matsubara sum runs n = 0 alone and n >= 1 in blocks of 128 terms, two
-columns per term, on u = u_n + s, s in [0, 80].
+Matsubara sum runs n = 0 alone and n >= 1 in blocks of up to 128 terms,
+two columns per term, on u = u_n + s, s in [0, 80]: fewer terms where
+the start chain is deeper, so that no start mesh holds more than 128
+terms on 84 nodes.
 
 The n = 0 kernels have a log singularity at u = 0.  Every supported pair
 reflects fully there (r_p = 1 at k = 0), so each kernel splits into that
@@ -63,7 +67,9 @@ vanish past n_max = floor(80/du), where the u-cut drops them.  After term
 N the rest of the sum is therefore at most (n_max - N)|term_N|.  The sum
 stops at the first N where that bound is at most 1e-10 of the total for
 energy and force, reports it as the tail error, and raises
-ConvergenceError past 1,000,000 terms.
+ConvergenceError past 1,000,000 terms.  At a temperature so small that du
+underflows to 0 or the first block, which holds the smallest xi, is not
+finite, it raises DomainError naming L and T before any further work.
 
 ``_per_area(mirrors, L, T)`` is the single dispatch point: it picks the
 closed form, the perfect-pair series or low-T form, the T = 0 quadrature
@@ -110,15 +116,17 @@ _INNER_REL_TOL = 1e-10
 # L from 1 nm to 100 um and T up to 3000 K ended on such a chain, at depth
 # 10 to 18 at T = 0 (every T = 0 kernel has a perfect pair's u^2 ln u at
 # u = 0, as a plasma pair reflects fully at kappa -> 0), at least 4 for
-# n = 0 and at least 3 for the n >= 1 blocks (BENCH_18.json).  Starting
-# there keeps every bit of the result and makes one integrand call where
-# the chain took d + 1 serial ones.
+# n = 0 (BENCH_18.json) and, for the n >= 1 blocks, at least the depth
+# ``_block_start`` gives (BENCH_21.json).  Starting there keeps every bit
+# of the result and makes one integrand call where the chain took d + 1
+# serial ones.
 _ZERO_T_DEPTH = 10
-_MATSUBARA_DEPTH = 3
+_STATIC_DEPTH = 4
 
 _MATSUBARA_TERM_REL = 1e-10
 _MATSUBARA_MAX_TERMS = 1_000_000
-# terms per Matsubara block.  The terms of a block share the panels of one
+# terms per Matsubara block at depth 3, and fewer on deeper start chains
+# (``_block_start``).  The terms of a block share the panels of one
 # u-quadrature, each refined until the worst of them converges, so another
 # block size moves the last bits of the sum
 _BLOCK_TERMS = 128
@@ -146,8 +154,9 @@ _PERFECT_THERMAL_ERROR = 32.0 * float(np.finfo(float).eps)
 
 # the buffers of the T = 0 and Matsubara integrands, kept per thread; each
 # grows to the largest node-by-column array asked of it, about 86 kB for a
-# 128-term block on 84 nodes.  The two integrands never run inside one
-# another, so they share names
+# 128-term block on 84 nodes; no Matsubara start mesh holds more (32 terms
+# on the 336 nodes of depth 15 come closest).  The two integrands never
+# run inside one another, so they share names
 _SCRATCH = Scratch()
 
 FLAG_PLANE_LIMIT = "A_not_much_larger_than_L_squared"
@@ -452,18 +461,48 @@ def _zero_temperature_per_area(cavity: CavityReflection, L: float):
     return prefactor * j_e / L**3, prefactor * j_f / L**4, rel_err
 
 
+def _block_start(u_lo: float):
+    """(depth, terms) of the Matsubara block on u = u_lo + s whose first
+    term starts at u_lo > 0.
+
+    Refinement bisects a block toward s = 0 until its first panel [0, w]
+    is some 1 to 4 u_lo wide, or narrower relative to u_lo where
+    u_lo < 0.1, never past w = 2^-16 U_SPAN.  The block starts from the
+    chain of the narrowest dyadic w >= max(3 u_lo, sqrt(1.5 u_lo)), 3 to
+    15 deep, which refinement reached in every block measured but a few of
+    a nearly transparent plasma mirror (L < 1e-3 lambda_p) facing a
+    perfect one (BENCH_21.json); uncapped, 1 nm at 1e-12 K would start at
+    depth 60, where exp(-u) rounds to 1.  It holds as many terms as fit 128
+    on the 4 panels of depth 3, so no start mesh needs larger buffers, and
+    at least 32, so the few-terms count over n = 0 and the first block
+    stays exact.
+    """
+    width = max(3.0 * u_lo, math.sqrt(1.5 * u_lo))
+    depth = int(max(3, min(15, math.log2(_U_SPAN / width))))
+    return depth, min(_BLOCK_TERMS, 4 * _BLOCK_TERMS // (depth + 1))
+
+
 def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
     """(E/A, F/A, relative error, contributing terms) of the Matsubara sum.
 
-    The relative error adds the quadrature errors of the summed terms and
-    the tail bound.  Contributing terms are counted over n = 0 and the
-    first block; as terms fall with n, the count is exact below its size.
+    n = 0 starts from the chain of depth ``_STATIC_DEPTH``, each block of
+    n >= 1 from the chain its first term's u_lo sets (``_block_start``):
+    where du is small the first blocks are short and deep, the later ones
+    128 terms at depth 3.  The relative error adds the quadrature errors
+    of the summed terms and the tail bound.  Contributing terms are
+    counted over n = 0 and the first block; as terms fall with n, the
+    count is exact below its size.  DomainError names L and T where du
+    underflows to 0 or the first block, which holds the smallest xi, is
+    not finite.
     """
     theta = ThermalState(temperature).temperature_frequency
     du = 2.0 * theta * L / C  # spacing of u_n = 2 xi_n L / c
-    # later terms start past the u-cut; a float, as it may exceed any integer type
-    n_max = _U_SPAN // du if du > 0.0 else math.inf
     context = f"L={L:.3e} m, T={temperature} K"
+    too_cold = f"T={temperature!r} K is too small at L={L!r} m"
+    if du == 0.0:
+        raise DomainError(f"{too_cold}: the Matsubara spacing 2 xi_1 L / c underflows to 0")
+    # later terms start past the u-cut; a float, as it may exceed any integer type
+    n_max = _U_SPAN // du
 
     def static_term(u):
         g_e, g_f = _static_remainder(cavity.amplitude_static((0.5 / L) * u), u)
@@ -472,21 +511,29 @@ def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
     # n = 0: the perfect-pair parts in closed form (their share past the
     # u-cut is below 1e-30), and the smooth remainder by quadrature, held
     # to the tolerance of the term they form
-    value, error = _u_quadrature(static_term, lambda bad: "n=0", context, _MATSUBARA_DEPTH, _PERFECT_STATIC)
+    value, error = _u_quadrature(static_term, lambda bad: "n=0", context, _STATIC_DEPTH, _PERFECT_STATIC)
     totals, quad_err, tail = 0.5 * value, 0.5 * error, np.zeros(2)
     mags = np.max(np.abs(totals), keepdims=True)
 
-    for n_lo in range(1, _MATSUBARA_MAX_TERMS + 1, _BLOCK_TERMS):
-        if n_lo > n_max:
-            break
-        n = np.arange(n_lo, n_lo + _BLOCK_TERMS)
+    n_lo = 1
+    while n_lo <= n_max:
+        if n_lo > _MATSUBARA_MAX_TERMS:
+            raise ConvergenceError(f"Matsubara sum exceeded {_MATSUBARA_MAX_TERMS} terms ({context})")
+        depth, size = _block_start(n_lo * du)
+        n = np.arange(n_lo, n_lo + size)
         n = n[n <= n_max]
-        value, error = _u_quadrature(
-            _matsubara_block(cavity, L, du, theta, n),
-            lambda bad: "n=" + ", ".join(map(str, n[bad])),
-            context,
-            _MATSUBARA_DEPTH,
-        )
+        block = _matsubara_block(cavity, L, du, theta, n)
+        names = lambda bad: "n=" + ", ".join(map(str, n[bad]))
+        if n_lo == 1:
+            # it holds the smallest xi: an overflow or invalid operation there
+            # means T is too small for these mirrors
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    value, error = _u_quadrature(block, names, context, depth)
+            except FloatingPointError:
+                raise DomainError(f"{too_cold}: the Matsubara terms are not finite") from None
+        else:
+            value, error = _u_quadrature(block, names, context, depth)
         terms = value.reshape(2, -1)
         running = np.cumsum(np.concatenate([totals[:, None], terms], axis=1), axis=1)[:, 1:]
         bound = (n_max - n) * np.abs(terms)
@@ -499,8 +546,7 @@ def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
         if stop.size:
             tail = bound[:, last]
             break
-    else:
-        raise ConvergenceError(f"Matsubara sum exceeded {_MATSUBARA_MAX_TERMS} terms ({context})")
+        n_lo += size
 
     threshold = _MATSUBARA_TERM_REL * max(float(np.max(np.abs(totals))), 1e-300)
     prefactor = K_B * temperature / (8.0 * math.pi)

@@ -557,10 +557,15 @@ class TestThermalPath:
             (GOLD, 1e-6, 300.0),
             # 11 inner u-quadratures, refined to depths 11 to 18
             (PlasmaMirror.from_wavelength(1e-6), 1e-9, 0.0),
-            # n = 0 and three Matsubara blocks, the last refined to depth 3
+            # n = 0 and three Matsubara blocks, of 64 terms from depth 7 and
+            # of 128 from depth 3
             (GOLD, 50e-9, 300.0),
+            # deep heads: 46 terms from depth 10, and 56 terms from depth 8
+            # after n = 0 refined to depth 10
+            (GOLD, 20e-9, 30.0),
+            (PlasmaMirror.from_wavelength(1e-6), 3.16e-9, 3000.0),
         ],
-        ids=["gold-1um-0K", "gold-1um-300K", "1um-1nm-0K", "gold-50nm-300K"],
+        ids=["gold-1um-0K", "gold-1um-300K", "1um-1nm-0K", "gold-50nm-300K", "gold-20nm-30K", "1um-3nm-3000K"],
     )
     def test_start_mesh_keeps_the_bits_of_refining_from_one_panel(self, monkeypatch, mirror, L, T):
         # the start mesh is a chain that refinement from [0, U_SPAN] always
@@ -678,6 +683,71 @@ class TestMatsubaraSum:
         with pytest.raises(ConvergenceError, match=rf"exceeded 50 terms \({re.escape(text)}\)"):
             thermal_force(cavity(L, T, GOLD))
 
+    @staticmethod
+    def record_blocks(monkeypatch):
+        """(terms, [nodes of each integrand call]) of every Matsubara block."""
+        blocks = []
+        block = casimir._matsubara_block
+
+        def recording(cavity_reflection, L, du, theta, n):
+            f = block(cavity_reflection, L, du, theta, n)
+            calls = []
+            blocks.append((n.size, calls))
+
+            def counted(s):
+                calls.append(s.size)
+                return f(s)
+
+            return counted
+
+        monkeypatch.setattr(casimir, "_matsubara_block", recording)
+        return blocks
+
+    # each block starts from the chain that its first term's u_lo says
+    # refinement reaches, so a serial call is left only where a block goes
+    # one level deeper; from depth 3 the same sums took [6, 2, 1], [4] and
+    # [2] calls.  A rule in u_lo alone that started deeper here would start
+    # deeper than refinement from [0, U_SPAN] reaches elsewhere
+    @pytest.mark.parametrize("L, calls", [(50e-9, [2, 2, 2]), (0.3e-6, [2]), (1e-6, [1])])
+    def test_blocks_start_from_the_chain_of_their_first_term(self, monkeypatch, L, calls):
+        blocks = self.record_blocks(monkeypatch)
+        thermal_force(cavity(L, 300.0, GOLD))
+        assert [len(nodes) for _, nodes in blocks] == calls
+
+    # from 32-term blocks at depth 15 (1 nm, 1e-12 K, stopped by the term
+    # cap) to 128-term blocks at depth 3
+    @pytest.mark.parametrize("mirror, L, T", [
+        (GOLD, 50e-9, 300.0),
+        (GOLD, 20e-9, 30.0),
+        (GOLD, 1e-6, 1.0),
+        (PlasmaMirror.from_wavelength(1e-6), 3.16e-9, 3000.0),
+        (GOLD, 1e-9, 1e-12),
+    ], ids=["gold-50nm-300K", "gold-20nm-30K", "gold-1um-1K", "1um-3nm-3000K", "gold-1nm-1e-12K"])
+    def test_no_start_mesh_exceeds_128_terms_on_84_nodes(self, monkeypatch, mirror, L, T):
+        # so the integrand buffers stay at the size of a depth-3 block
+        blocks = self.record_blocks(monkeypatch)
+        if T < 1e-6:
+            monkeypatch.setattr(casimir, "_MATSUBARA_MAX_TERMS", 100)
+            with pytest.raises(ConvergenceError, match="exceeded 100 terms"):
+                casimir._matsubara_per_area(CavityReflection(mirror, mirror), L, T)
+        else:
+            casimir._matsubara_per_area(CavityReflection(mirror, mirror), L, T)
+        assert len(blocks) > 1
+        for terms, nodes in blocks:
+            assert terms * nodes[0] <= 128 * 84
+        # the few-terms count runs over n = 0 and the first block
+        assert blocks[0][0] >= casimir._FEW_TERMS_WARN
+
+    @pytest.mark.parametrize("T, text", [
+        (1e-100, "the Matsubara terms are not finite"),
+        (5e-324, "underflows to 0"),  # du is 0.0
+    ])
+    def test_tiny_temperature_is_a_domain_error(self, T, text):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=rf"T={T!r} K is too small at L=1e-06 m: .*{text}"):
+            thermal_force(cavity(1e-6, T, GOLD))
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("T", [300.0, 3000.0])
     def test_static_remainder_is_held_to_the_term_it_joins(self, T):
         # at 0.1 m the n = 0 remainder of a 1 nm plasma pair is about -7.7e-9,
@@ -708,7 +778,7 @@ BUFFERED_PAIRS = {
 class TestBufferedIntegrands:
     # (nodes, columns) that grow, shrink and grow again, so that a buffer's
     # stale contents would show in a result; 84 and 231 nodes are the
-    # Matsubara and T = 0 start meshes, 42 a refinement step
+    # depth-3 Matsubara and the T = 0 start meshes, 42 a refinement step
     SHAPES = [(84, 128), (42, 5), (231, 42), (42, 128), (84, 5), (231, 128)]
 
     @pytest.mark.parametrize("pair", BUFFERED_PAIRS.values(), ids=BUFFERED_PAIRS.keys())

@@ -202,6 +202,15 @@ class TestExitCodes:
         assert "plasma_frequency=" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("temperature", ["1e-100", "5e-324"])
+    def test_tiny_temperature_is_two(self, capsys, temperature):
+        # the first Matsubara terms overflow, or their spacing underflows to 0
+        assert main(["force", "--length-um", "1", "--area-cm2", "1", "--temperature-K", temperature,
+                     "--material", "gold"]) == 2
+        captured = capsys.readouterr()
+        assert f"T={float(temperature)!r} K is too small at L=1e-06 m" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize(
         "argv, source",
