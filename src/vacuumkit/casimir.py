@@ -40,20 +40,22 @@ and Maclay replaces the series; it reduces to the closed forms as T -> 0.
 Both report a round-off bound of 32 eps as their error estimate.
 
 Every u-integral runs through one batched routine, ``_u_quadrature``: a
-vector-valued quadrature over u in [0, 80], one column per integral, each
-column held to the inner tolerance on its own.  It starts from the dyadic
-chain of panels toward u = 0 that its refinement always reaches, in one
-integrand call: of depth 10 at T = 0, 4 for n = 0, and for each block of
-n >= 1 terms the depth its first term's u_lo sets, 3 to 15
-(``_block_start``).  On the grids of BENCH_18.json and BENCH_21.json the
-result is the same bits as refined from [0, 80] alone.  At T = 0 each refinement
-step of the outer phi quadrature evaluates the phi integrand once, at the
-21 nodes of the first panel or the 42 nodes of both halves of a bisected
-one, and so runs one u-quadrature with twice as many columns.  The
-Matsubara sum runs n = 0 alone and n >= 1 in blocks of up to 128 terms,
-two columns per term, on u = u_n + s, s in [0, 80]: fewer terms where
-the start chain is deeper, so that no start mesh holds more than 128
-terms on 84 nodes.
+vector-valued quadrature over u in [0, 40], one column per integral, each
+column held to the inner tolerance on its own.  Past the cut at 40 no
+column holds more than 4.6e-14 of its integral, and every error estimate
+of a quadrature path adds that share.  It starts from the dyadic chain of
+panels toward u = 0 that its refinement always reaches, in one integrand
+call: of depth 9 at T = 0, 3 for n = 0, and for each block of n >= 1
+terms the depth its first term's u_lo sets, 2 to 14 (``_block_start``).
+On the grids of BENCH_18.json, BENCH_21.json and BENCH_22.json the result
+is the same bits as refined from one panel alone.  At T = 0 each
+refinement step of the outer phi quadrature evaluates the phi integrand
+once, at the 21 nodes of the first panel or the 42 nodes of both halves
+of a bisected one, and so runs one u-quadrature with twice as many
+columns.  The Matsubara sum runs n = 0 alone and n >= 1 in blocks of up
+to 128 terms, two columns per term, on u = u_n + s, s in [0, 40]: fewer
+terms where the start chain is deeper, so that no start mesh holds more
+values than 128 terms on 84 nodes would.
 
 The n = 0 kernels have a log singularity at u = 0.  Every supported pair
 reflects fully there (r_p = 1 at k = 0), so each kernel splits into that
@@ -63,7 +65,7 @@ u = 0 (``_static_remainder``); only the remainder is integrated.
 
 Terms fall monotonically in n for every supported pair (r_TE depends on
 kappa = u/2L only, r_TM falls with xi, and the lower limit u_n rises) and
-vanish past n_max = floor(80/du), where the u-cut drops them.  After term
+vanish past n_max = floor(40/du), where the u-cut drops them.  After term
 N the rest of the sum is therefore at most (n_max - N)|term_N|.  The sum
 stops at the first N where that bound is at most 1e-10 of the total for
 energy and force, reports it as the tail error, and raises
@@ -102,8 +104,8 @@ from .mirrors import CavityReflection, Mirror, PerfectMirror, Scratch, _fresh
 from .planck import ThermalState
 from .quadrature import adaptive_gauss_legendre
 
-# exp(-u) beyond this u is below 1.8e-35; irrelevant against the 1e-9 targets
-_U_SPAN = 80.0
+# the u-cut: exp(-u) beyond it is below 4.3e-18
+_U_SPAN = 40.0
 
 # inner tolerance is kept a decade and a half below the outer one so the
 # outer refinement never chases inner quadrature noise
@@ -114,18 +116,19 @@ _INNER_REL_TOL = 1e-10
 # [U_SPAN/2, U_SPAN] that each u-quadrature starts from.  Refined from
 # [0, U_SPAN] alone, every u-quadrature over lambda_p from 30 nm to 1 um,
 # L from 1 nm to 100 um and T up to 3000 K ended on such a chain, at depth
-# 10 to 18 at T = 0 (every T = 0 kernel has a perfect pair's u^2 ln u at
-# u = 0, as a plasma pair reflects fully at kappa -> 0), at least 4 for
-# n = 0 (BENCH_18.json) and, for the n >= 1 blocks, at least the depth
-# ``_block_start`` gives (BENCH_21.json).  Starting there keeps every bit
-# of the result and makes one integrand call where the chain took d + 1
-# serial ones.
-_ZERO_T_DEPTH = 10
-_STATIC_DEPTH = 4
+# 9 to 17 at T = 0 (every T = 0 kernel has a perfect pair's u^2 ln u at
+# u = 0, as a plasma pair reflects fully at kappa -> 0), at least 3 for
+# n = 0 and, for the n >= 1 blocks, at least the depth ``_block_start``
+# gives (BENCH_18.json, BENCH_21.json and BENCH_22.json; the first two
+# measured the same chains with one more panel, [U_SPAN, 2 U_SPAN]).
+# Starting there keeps every bit of the result and makes one integrand
+# call where the chain took d + 1 serial ones.
+_ZERO_T_DEPTH = 9
+_STATIC_DEPTH = 3
 
 _MATSUBARA_TERM_REL = 1e-10
 _MATSUBARA_MAX_TERMS = 1_000_000
-# terms per Matsubara block at depth 3, and fewer on deeper start chains
+# terms per Matsubara block at depth 2, and fewer on deeper start chains
 # (``_block_start``).  The terms of a block share the panels of one
 # u-quadrature, each refined until the worst of them converges, so another
 # block size moves the last bits of the sum
@@ -145,18 +148,24 @@ _PERFECT_STATIC = np.array([2.0 * _ZETA3, 4.0 * _ZETA3])
 # t = 2 k_B T L / (hbar c) at and below which a perfect pair takes the
 # low-temperature form; above it the Lambert series needs at most 74 terms
 _LOW_T_SWITCH = 0.087
-# the Lambert series stops at m du >= 40, where x_m < e^-40
-_LAMBERT_SPAN = 40.0
-# relative error bound of the perfect-pair thermal path: round-off of at most
-# 74 positive terms of a few correctly rounded operations each, of their
-# sum, and of du and the prefactor; both truncations lie below 1e-18
-_PERFECT_THERMAL_ERROR = 32.0 * float(np.finfo(float).eps)
+# relative round-off of assembling a result from its parts: constants,
+# prefactors, powers of L and, on the perfect-pair thermal path, at most 74
+# positive terms of a few correctly rounded operations each.  It is that
+# path's whole error bound, as both its truncations lie below 1e-18; the
+# quadrature paths add it to their estimates
+_ROUNDOFF_ERROR = 32.0 * float(np.finfo(float).eps)
+# relative share past the u-cut of the perfect pair's T = 0 force column,
+# Gamma(4, U_SPAN) / (6 zeta(4)) = 4.52e-14, rounded up.  Loop amplitudes
+# lie in [0, 1], so no kernel exceeds a perfect pair's, and the columns
+# weighted by u or u^2 from u_n on lose less past the cut: this bounds the
+# share of every column (largest measured 4.5e-14, BENCH_22.json)
+_U_CUT_ERROR = 4.6e-14
 
 # the buffers of the T = 0 and Matsubara integrands, kept per thread; each
-# grows to the largest node-by-column array asked of it, about 86 kB for a
-# 128-term block on 84 nodes; no Matsubara start mesh holds more (32 terms
-# on the 336 nodes of depth 15 come closest).  The two integrands never
-# run inside one another, so they share names
+# grows to the largest node-by-column array asked of it: about 65 kB for a
+# 128-term block on 63 nodes, and at most 81 kB for 32 terms on the 315
+# nodes of depth 14, the largest Matsubara start mesh.  The two integrands
+# never run inside one another, so they share names
 _SCRATCH = Scratch()
 
 FLAG_PLANE_LIMIT = "A_not_much_larger_than_L_squared"
@@ -434,8 +443,8 @@ def _zero_temperature_per_area(cavity: CavityReflection, L: float):
     Each call of the phi-integrand at m nodes (21 or 42, one outer
     refinement step) runs one batched u-quadrature: columns j and m + j
     are the energy and force integrals at phi_j.  It starts from the chain
-    of depth ``_ZERO_T_DEPTH``, 231 nodes in one call, where refinement
-    from [0, U_SPAN] took 11 serial calls on 441 nodes to reach it.
+    of depth ``_ZERO_T_DEPTH``, 210 nodes in one call, where refinement
+    from [0, U_SPAN] took 10 serial calls on 399 nodes to reach it.
     """
     worst_inner = [0.0]
 
@@ -457,7 +466,7 @@ def _zero_temperature_per_area(cavity: CavityReflection, L: float):
 
     j_e, j_f = outer.value
     prefactor = HBAR * C / (32.0 * math.pi**2)
-    rel_err = _relative(outer.error, outer.value) + worst_inner[0]
+    rel_err = _relative(outer.error, outer.value) + worst_inner[0] + _U_CUT_ERROR + _ROUNDOFF_ERROR
     return prefactor * j_e / L**3, prefactor * j_f / L**4, rel_err
 
 
@@ -467,19 +476,20 @@ def _block_start(u_lo: float):
 
     Refinement bisects a block toward s = 0 until its first panel [0, w]
     is some 1 to 4 u_lo wide, or narrower relative to u_lo where
-    u_lo < 0.1, never past w = 2^-16 U_SPAN.  The block starts from the
-    chain of the narrowest dyadic w >= max(3 u_lo, sqrt(1.5 u_lo)), 3 to
-    15 deep, which refinement reached in every block measured but a few of
+    u_lo < 0.1, never past w = 2^-15 U_SPAN.  The block starts from the
+    chain of the narrowest dyadic w >= max(3 u_lo, sqrt(1.5 u_lo)), 2 to
+    14 deep, which refinement reached in every block measured but a few of
     a nearly transparent plasma mirror (L < 1e-3 lambda_p) facing a
-    perfect one (BENCH_21.json); uncapped, 1 nm at 1e-12 K would start at
-    depth 60, where exp(-u) rounds to 1.  It holds as many terms as fit 128
-    on the 4 panels of depth 3, so no start mesh needs larger buffers, and
-    at least 32, so the few-terms count over n = 0 and the first block
-    stays exact.
+    perfect one (BENCH_21.json, BENCH_22.json); uncapped, 1 nm at 1e-12 K
+    would start at depth 59, where exp(-u) rounds to 1.  It holds 128
+    terms on the 63 nodes of depth 2 and 512 // (depth + 2) on deeper
+    chains, so no start mesh holds more values than 128 terms on 84 nodes
+    would, and at least 32, so the few-terms count over n = 0 and the
+    first block stays exact.
     """
     width = max(3.0 * u_lo, math.sqrt(1.5 * u_lo))
-    depth = int(max(3, min(15, math.log2(_U_SPAN / width))))
-    return depth, min(_BLOCK_TERMS, 4 * _BLOCK_TERMS // (depth + 1))
+    depth = int(max(2, min(14, math.log2(_U_SPAN / width))))
+    return depth, min(_BLOCK_TERMS, 4 * _BLOCK_TERMS // (depth + 2))
 
 
 def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
@@ -488,8 +498,9 @@ def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
     n = 0 starts from the chain of depth ``_STATIC_DEPTH``, each block of
     n >= 1 from the chain its first term's u_lo sets (``_block_start``):
     where du is small the first blocks are short and deep, the later ones
-    128 terms at depth 3.  The relative error adds the quadrature errors
-    of the summed terms and the tail bound.  Contributing terms are
+    128 terms at depth 2.  The relative error adds the quadrature errors
+    of the summed terms, the tail bound, the share past the u-cut and the
+    round-off of assembling the result.  Contributing terms are
     counted over n = 0 and the first block; as terms fall with n, the
     count is exact below its size.  DomainError names L and T where du
     underflows to 0 or the first block, which holds the smallest xi, is
@@ -509,7 +520,7 @@ def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
         return np.stack([u * g_e, u * u * g_f], axis=-1)
 
     # n = 0: the perfect-pair parts in closed form (their share past the
-    # u-cut is below 1e-30), and the smooth remainder by quadrature, held
+    # u-cut is below 3e-15), and the smooth remainder by quadrature, held
     # to the tolerance of the term they form
     value, error = _u_quadrature(static_term, lambda bad: "n=0", context, _STATIC_DEPTH, _PERFECT_STATIC)
     totals, quad_err, tail = 0.5 * value, 0.5 * error, np.zeros(2)
@@ -550,7 +561,7 @@ def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
 
     threshold = _MATSUBARA_TERM_REL * max(float(np.max(np.abs(totals))), 1e-300)
     prefactor = K_B * temperature / (8.0 * math.pi)
-    rel_err = _relative(quad_err + tail, totals)
+    rel_err = _relative(quad_err + tail, totals) + _U_CUT_ERROR + _ROUNDOFF_ERROR
     return prefactor * totals[0] / L**2, prefactor * totals[1] / L**3, rel_err, int(np.sum(mags >= threshold))
 
 
@@ -574,7 +585,7 @@ def _perfect_thermal_per_area(L: float, temperature: float):
     It leaves out terms of order 40 t exp(-2 pi / t), below 1e-30 at the
     switch (measured against 60-digit sums), and keeps the series from
     growing as 40/du at small du.  Both branches report the round-off
-    bound ``_PERFECT_THERMAL_ERROR``.
+    bound ``_ROUNDOFF_ERROR``.
 
     Fewer than ten terms contribute, as the Matsubara sum counts them,
     exactly when the term n = 9 lies past the u-cut or below 1e-10 of the
@@ -589,9 +600,9 @@ def _perfect_thermal_per_area(L: float, temperature: float):
     if t <= _LOW_T_SWITCH:
         e_per_area = ideal_energy_per_area(L) * (1.0 + (45.0 * _ZETA3 / math.pi**3) * t**3 - t**4)
         f_per_area = ideal_force_per_area(L) * (1.0 + t**4 / 3.0)
-        return e_per_area, f_per_area, _PERFECT_THERMAL_ERROR, False, "perfect-pair low-T form"
+        return e_per_area, f_per_area, _ROUNDOFF_ERROR, False, "perfect-pair low-T form"
 
-    m = np.arange(1.0, math.ceil(_LAMBERT_SPAN / du) + 1.0)
+    m = np.arange(1.0, math.ceil(_U_SPAN / du) + 1.0)
     x = np.exp(-m * du)
     one_minus = -np.expm1(-m * du)
     q = x / one_minus
@@ -610,7 +621,7 @@ def _perfect_thermal_per_area(L: float, temperature: float):
     )
     prefactor = K_B * temperature / (8.0 * math.pi)
     e_per_area, f_per_area = prefactor * s_e / L**2, prefactor * s_f / L**3
-    return e_per_area, f_per_area, _PERFECT_THERMAL_ERROR, bool(few), "perfect-pair series"
+    return e_per_area, f_per_area, _ROUNDOFF_ERROR, bool(few), "perfect-pair series"
 
 
 # --- public operations ------------------------------------------------------

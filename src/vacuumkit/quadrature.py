@@ -222,11 +222,21 @@ def adaptive_gauss_legendre(
         for lo, hi, v, e, ab in zip((pa, pm), (pm, pb), values, errors, aboves):
             heapq.heappush(heap, (-float((e / unit).max()), lo, next(counter), hi, v, e, ab))
 
-    # Fixed-order accumulation: sum panels left to right.
+    # Fixed-order accumulation over the panels sorted by position: a running
+    # sum, left to right, of each component; a one-component integrand keeps
+    # the bits of numpy's pairwise sum over its column
     heap.sort(key=lambda p: p[1])
+    if heap[0][4].size == 1:
+        value = np.sum([p[4] for p in heap], axis=0)
+        error = np.sum([p[5] for p in heap], axis=0)
+    else:
+        value, error = heap[0][4].copy(), heap[0][5].copy()
+        for p in heap[1:]:
+            value += p[4]
+            error += p[5]
     return QuadratureResult(
-        value=np.sum(np.stack([p[4] for p in heap]), axis=0),
-        error=np.sum(np.stack([p[5] for p in heap]), axis=0),
+        value=value,
+        error=error,
         panels=len(heap),
         evaluations=_KRONROD_NODES.size * (2 * len(heap) - len(bounds) + 1),
         converged=bool(met.all()),

@@ -555,13 +555,13 @@ class TestThermalPath:
         [
             (GOLD, 1e-6, 0.0),
             (GOLD, 1e-6, 300.0),
-            # 11 inner u-quadratures, refined to depths 11 to 18
+            # 11 inner u-quadratures, refined to depths 10 to 17
             (PlasmaMirror.from_wavelength(1e-6), 1e-9, 0.0),
-            # n = 0 and three Matsubara blocks, of 64 terms from depth 7 and
-            # of 128 from depth 3
+            # n = 0 and three Matsubara blocks, of 64 terms from depth 6 and
+            # of 128 from depth 2
             (GOLD, 50e-9, 300.0),
-            # deep heads: 46 terms from depth 10, and 56 terms from depth 8
-            # after n = 0 refined to depth 10
+            # deep heads: 46 terms from depth 9, and 56 terms from depth 7
+            # after n = 0 refined to depth 9
             (GOLD, 20e-9, 30.0),
             (PlasmaMirror.from_wavelength(1e-6), 3.16e-9, 3000.0),
         ],
@@ -668,10 +668,13 @@ class TestMatsubaraSum:
 
     def test_block_failure_names_its_terms(self, monkeypatch):
         # only the terms n >= 1 use the imaginary-axis amplitudes; at 1 um
-        # and 300 K they end at n_max = floor(80 / du) = 48, in one block
+        # and 300 K they end at n_max = floor(U_SPAN / du), in one block
+        du = 2.0 * ThermalState(300.0).temperature_frequency * 1e-6 / C
+        n_max = int(casimir._U_SPAN // du)
         nan = lambda self, xi, kappa, scratch=None: (np.full(np.broadcast_shapes(np.shape(xi), np.shape(kappa)), np.nan),) * 2
         monkeypatch.setattr(CavityReflection, "amplitude_imaginary", nan)
-        with pytest.raises(ConvergenceError, match=r"n=1, 2, 3, .*, 47, 48 \(L=1\.000e-06 m, T=300\.0 K"):
+        last = rf"{n_max - 1}, {n_max} \(L=1\.000e-06 m, T=300\.0 K"
+        with pytest.raises(ConvergenceError, match=r"n=1, 2, 3, .*, " + last):
             thermal_force(cavity(1e-6, 300.0, GOLD))
 
     # at 1 nm and 1e-12 K the last term below the u-cut has n near 1.5e19,
@@ -705,7 +708,7 @@ class TestMatsubaraSum:
 
     # each block starts from the chain that its first term's u_lo says
     # refinement reaches, so a serial call is left only where a block goes
-    # one level deeper; from depth 3 the same sums took [6, 2, 1], [4] and
+    # one level deeper; from depth 2 the same sums took [6, 2, 1], [4] and
     # [2] calls.  A rule in u_lo alone that started deeper here would start
     # deeper than refinement from [0, U_SPAN] reaches elsewhere
     @pytest.mark.parametrize("L, calls", [(50e-9, [2, 2, 2]), (0.3e-6, [2]), (1e-6, [1])])
@@ -714,8 +717,8 @@ class TestMatsubaraSum:
         thermal_force(cavity(L, 300.0, GOLD))
         assert [len(nodes) for _, nodes in blocks] == calls
 
-    # from 32-term blocks at depth 15 (1 nm, 1e-12 K, stopped by the term
-    # cap) to 128-term blocks at depth 3
+    # from 32-term blocks at depth 14 (1 nm, 1e-12 K, stopped by the term
+    # cap) to 128-term blocks at depth 2
     @pytest.mark.parametrize("mirror, L, T", [
         (GOLD, 50e-9, 300.0),
         (GOLD, 20e-9, 30.0),
@@ -724,7 +727,8 @@ class TestMatsubaraSum:
         (GOLD, 1e-9, 1e-12),
     ], ids=["gold-50nm-300K", "gold-20nm-30K", "gold-1um-1K", "1um-3nm-3000K", "gold-1nm-1e-12K"])
     def test_no_start_mesh_exceeds_128_terms_on_84_nodes(self, monkeypatch, mirror, L, T):
-        # so the integrand buffers stay at the size of a depth-3 block
+        # so the integrand buffers stay below 86 kB (the largest start mesh
+        # is 32 terms on the 315 nodes of depth 14)
         blocks = self.record_blocks(monkeypatch)
         if T < 1e-6:
             monkeypatch.setattr(casimir, "_MATSUBARA_MAX_TERMS", 100)
@@ -777,9 +781,9 @@ BUFFERED_PAIRS = {
 
 class TestBufferedIntegrands:
     # (nodes, columns) that grow, shrink and grow again, so that a buffer's
-    # stale contents would show in a result; 84 and 231 nodes are the
-    # depth-3 Matsubara and the T = 0 start meshes, 42 a refinement step
-    SHAPES = [(84, 128), (42, 5), (231, 42), (42, 128), (84, 5), (231, 128)]
+    # stale contents would show in a result; 63 and 210 nodes are the
+    # depth-2 Matsubara and the T = 0 start meshes, 42 a refinement step
+    SHAPES = [(63, 128), (42, 5), (210, 42), (42, 128), (63, 5), (210, 128)]
 
     @pytest.mark.parametrize("pair", BUFFERED_PAIRS.values(), ids=BUFFERED_PAIRS.keys())
     def test_bit_equal_to_expression_style(self, pair):
@@ -928,6 +932,72 @@ class TestStaticTerm:
             assert error <= rel_err
             assert error <= 1e-14  # exact to round-off
 
+    # every term n >= 1 lies past the u-cut, and the n = 0 remainder is some
+    # 1e-8 of the term, known to about 1e-17 of it: without the round-off of
+    # assembling the result the estimate would fall below the true error
+    @pytest.mark.parametrize("plasma_wavelength, partner_perfect, L, T", [
+        (1e-9, True, 0.1, 300.0),
+        (1e-9, True, 0.01, 300.0),
+        (1e-9, False, 0.1, 3000.0),
+        (30e-9, True, 0.01, 300.0),
+    ], ids=["1nm-perfect-10cm-300K", "1nm-perfect-1cm-300K", "1nm-10cm-3000K", "30nm-perfect-1cm-300K"])
+    def test_error_estimate_covers_round_off(self, plasma_wavelength, partner_perfect, L, T):
+        mirror = PlasmaMirror.from_wavelength(plasma_wavelength)
+        pair = CavityReflection(mirror, PERFECT if partner_perfect else mirror)
+        e_per_area, f_per_area, rel_err, _ = casimir._per_area(pair, L, T)
+        assert rel_err >= casimir._ROUNDOFF_ERROR
+        i_e, i_f = mpmath_static_integrals(L, plasma_wavelength, partner_perfect)
+        half_prefactor = 0.5 * K_B * T / (8.0 * math.pi)
+        for value, integral, power in ((e_per_area, i_e, 2), (f_per_area, i_f, 3)):
+            assert abs(value / float(half_prefactor * integral / L**power) - 1.0) <= rel_err
+
+
+class TestUCut:
+    """Every u-quadrature stops at U_SPAN, and every error estimate of a
+    quadrature path adds ``_U_CUT_ERROR``: no column's share of its
+    integral past the cut may exceed it."""
+
+    PLASMAS = {f"{lp:g}": PlasmaMirror.from_wavelength(lp) for lp in (1e-9, 136e-9, 1e-6, 1e-3, 1.0)}
+    PAIRS = {
+        "perfect": CavityReflection(PERFECT, PERFECT),
+        **{name: CavityReflection(mirror, mirror) for name, mirror in PLASMAS.items()},
+        **{f"{name}-perfect": CavityReflection(mirror, PERFECT) for name, mirror in PLASMAS.items()},
+    }
+    LENGTHS = [1e-10, 1e-8, 1e-6, 1e-4, 0.1]
+    TEMPERATURES = [3.0, 300.0, 3000.0, 1e6]
+
+    @staticmethod
+    def share_past_cut(f, depth, offset=0.0):
+        """Largest |Int_U^2U f| / |offset + Int_0^2U f| over f's columns."""
+        head, _ = casimir._u_quadrature(f, str, "", depth, offset)
+        tail = adaptive_gauss_legendre(f, casimir._U_SPAN, 2.0 * casimir._U_SPAN, rel_tol=1e-10)
+        assert tail.converged
+        return float(np.max(np.abs(tail.value) / np.abs(head + tail.value)))
+
+    @pytest.mark.parametrize("pair", PAIRS.values(), ids=PAIRS.keys())
+    def test_share_past_cut_is_within_the_added_estimate(self, pair):
+        phis = np.array([1e-3, 0.4, 0.8, 1.2, 1.5, 1.57])
+        shares = []
+        for L in self.LENGTHS:
+            shares.append(self.share_past_cut(casimir._zero_t_inner(pair, L, phis), casimir._ZERO_T_DEPTH))
+
+            def static_term(u):
+                g_e, g_f = casimir._static_remainder(pair.amplitude_static((0.5 / L) * u), u)
+                return np.stack([u * g_e, u * u * g_f], axis=-1)
+
+            shares.append(self.share_past_cut(static_term, casimir._STATIC_DEPTH, casimir._PERFECT_STATIC))
+            for T in self.TEMPERATURES:
+                theta = ThermalState(T).temperature_frequency
+                du = 2.0 * theta * L / C
+                n_max = int(casimir._U_SPAN // du)
+                if n_max == 0:
+                    continue
+                # the first 16 terms, one halfway and the last two the sum can reach
+                n = np.unique(np.clip(np.r_[np.arange(1, 17), n_max // 2, n_max - 1, n_max], 1, n_max))
+                depth, _ = casimir._block_start(du)
+                shares.append(self.share_past_cut(casimir._matsubara_block(pair, L, du, theta, n), depth))
+        assert max(shares) <= casimir._U_CUT_ERROR
+
 
 class TestPerfectPairThermalPath:
     # two points on each side of the switch at t = 2 k_B T L / (hbar c) = 0.087
@@ -997,7 +1067,8 @@ class TestErrorCeiling:
 
 
 class TestLargeDistanceMatsubara:
-    # at 300 K, u_1 lies near or past the u cut of 80 from about 24 um on
+    # at 300 K, u_1 = 2 xi_1 L / c passes the u cut of 40 from about 24.3 um
+    # on, so that only n = 0 is left
     @pytest.mark.parametrize("L", [24.79e-6, 26e-6, 40e-6])
     def test_perfect_mirrors_match_lambert_series(self, L):
         res = thermal_force(cavity(L, 300.0, PERFECT, A=1.0))
