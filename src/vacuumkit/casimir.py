@@ -43,19 +43,18 @@ Every u-integral runs through one batched routine, ``_u_quadrature``: a
 vector-valued quadrature over u in [0, 40], one column per integral, each
 column held to the inner tolerance on its own.  Past the cut at 40 no
 column holds more than 4.6e-14 of its integral, and every error estimate
-of a quadrature path adds that share.  It starts from the dyadic chain of
-panels toward u = 0 that its refinement always reaches, in one integrand
-call: of depth 9 at T = 0, 3 for n = 0, and for each block of n >= 1
-terms the depth its first term's u_lo sets, 2 to 14 (``_block_start``).
-On the grids of BENCH_18.json, BENCH_21.json and BENCH_22.json the result
-is the same bits as refined from one panel alone.  At T = 0 each
+of a quadrature path adds that share.  It starts, in one integrand call,
+from the dyadic chain of panels toward u = 0 that its refinement always
+reaches, so its bits are those of refining from one panel: of depth 9 at
+T = 0, 3 for n = 0, and for each block of n >= 1 terms the depth its
+first term's u_lo sets, 2 to 14 (``_block_start``).  At T = 0 each
 refinement step of the outer phi quadrature evaluates the phi integrand
-once, at the 21 nodes of the first panel or the 42 nodes of both halves
-of a bisected one, and so runs one u-quadrature with twice as many
-columns.  The Matsubara sum runs n = 0 alone and n >= 1 in blocks of up
-to 128 terms, two columns per term, on u = u_n + s, s in [0, 40]: fewer
-terms where the start chain is deeper, so that no start mesh holds more
-values than 128 terms on 84 nodes would.
+once, at the 21 nodes of the first panel or the 42 of both halves of a
+bisected one, and so runs one u-quadrature with twice as many columns.
+The Matsubara sum runs n = 0 alone and n >= 1 in blocks of up to 128
+terms, two columns per term, on u = u_n + s, s in [0, 40]: fewer terms
+where the start chain is deeper, so that no start mesh holds more values
+than 128 terms on 84 nodes would.
 
 The n = 0 kernels have a log singularity at u = 0.  Every supported pair
 reflects fully there (r_p = 1 at k = 0), so each kernel splits into that
@@ -69,9 +68,9 @@ vanish past n_max = floor(40/du), where the u-cut drops them.  After term
 N the rest of the sum is therefore at most (n_max - N)|term_N|.  The sum
 stops at the first N where that bound is at most 1e-10 of the total for
 energy and force, reports it as the tail error, and raises
-ConvergenceError past 1,000,000 terms.  At a temperature so small that du
-underflows to 0 or the first block, which holds the smallest xi, is not
-finite, it raises DomainError naming L and T before any further work.
+ConvergenceError past 1,000,000 terms.  Where T is so small that du
+underflows to 0 or a term is not finite, first in the first block, which
+holds the smallest xi, it raises DomainError naming L and T.
 
 ``_per_area(mirrors, L, T)`` is the single dispatch point: it picks the
 closed form, the perfect-pair series or low-T form, the T = 0 quadrature
@@ -100,7 +99,7 @@ import numpy as np
 
 from .constants import C, HBAR, K_B
 from .errors import ConvergenceError, DomainError, _check_finite, _check_integer, _check_positive
-from .mirrors import CavityReflection, Mirror, PerfectMirror, Scratch, _fresh
+from .mirrors import CavityReflection, Mirror, PerfectMirror, Scratch
 from .planck import ThermalState
 from .quadrature import adaptive_gauss_legendre
 
@@ -303,19 +302,18 @@ class SpherePlaneResult:
 # --- spectral kernels -------------------------------------------------------
 
 
-def _kernels(amplitudes, u, scratch=None):
+def _kernels(amplitudes, u, scratch: Scratch):
     """Polarization-summed energy and force kernels at exp(-u) of the loop
-    amplitudes ``(r_TE, r_TM)``, arrays of their broadcast shape with u: in
-    the buffers of ``scratch``, which the next call with it overwrites, or
-    new without it.  exp and log1p, whose vector loops may round otherwise
-    on strided operands, run on contiguous arrays of u's and that shape."""
-    take = _fresh if scratch is None else scratch
+    amplitudes ``(r_TE, r_TM)``, arrays of their broadcast shape with u in
+    the buffers of ``scratch``, which the next call with it overwrites.
+    exp and log1p, whose vector loops may round otherwise on strided
+    operands, run on contiguous arrays of u's and that shape."""
     r_te, r_tm = amplitudes
     shape = np.broadcast(r_te, r_tm, u).shape
-    (emu,) = take("exp(-u)", u.shape, 1)
+    (emu,) = scratch("exp(-u)", u.shape, 1)
     np.negative(u, out=emu)
     np.exp(emu, out=emu)
-    x_te, x_tm, g_e, g_f = take("kernels", shape, 4)
+    x_te, x_tm, g_e, g_f = scratch("kernels", shape, 4)
     np.multiply(r_te, emu, out=x_te)
     np.multiply(r_tm, emu, out=x_tm)
     # g_e = -(log1p(-x_te) + log1p(-x_tm))
@@ -484,8 +482,7 @@ def _block_start(u_lo: float):
     would start at depth 59, where exp(-u) rounds to 1.  It holds 128
     terms on the 63 nodes of depth 2 and 512 // (depth + 2) on deeper
     chains, so no start mesh holds more values than 128 terms on 84 nodes
-    would, and at least 32, so the few-terms count over n = 0 and the
-    first block stays exact.
+    would: 32 terms at depth 14.
     """
     width = max(3.0 * u_lo, math.sqrt(1.5 * u_lo))
     depth = int(max(2, min(14, math.log2(_U_SPAN / width))))
@@ -500,11 +497,11 @@ def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
     where du is small the first blocks are short and deep, the later ones
     128 terms at depth 2.  The relative error adds the quadrature errors
     of the summed terms, the tail bound, the share past the u-cut and the
-    round-off of assembling the result.  Contributing terms are
-    counted over n = 0 and the first block; as terms fall with n, the
-    count is exact below its size.  DomainError names L and T where du
-    underflows to 0 or the first block, which holds the smallest xi, is
-    not finite.
+    round-off of assembling the result.  Contributing terms are counted
+    over n = 0 and the blocks that hold the first ``_FEW_TERMS_WARN``
+    terms, exact below that as terms fall with n.  DomainError names L and
+    T where du underflows to 0 or a term is not finite, first in the first
+    block, which holds the smallest xi.
     """
     theta = ThermalState(temperature).temperature_frequency
     du = 2.0 * theta * L / C  # spacing of u_n = 2 xi_n L / c
@@ -527,37 +524,31 @@ def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
     mags = np.max(np.abs(totals), keepdims=True)
 
     n_lo = 1
-    while n_lo <= n_max:
-        if n_lo > _MATSUBARA_MAX_TERMS:
-            raise ConvergenceError(f"Matsubara sum exceeded {_MATSUBARA_MAX_TERMS} terms ({context})")
-        depth, size = _block_start(n_lo * du)
-        n = np.arange(n_lo, n_lo + size)
-        n = n[n <= n_max]
-        block = _matsubara_block(cavity, L, du, theta, n)
-        names = lambda bad: "n=" + ", ".join(map(str, n[bad]))
-        if n_lo == 1:
-            # it holds the smallest xi: an overflow or invalid operation there
-            # means T is too small for these mirrors
-            try:
-                with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    value, error = _u_quadrature(block, names, context, depth)
-            except FloatingPointError:
-                raise DomainError(f"{too_cold}: the Matsubara terms are not finite") from None
-        else:
-            value, error = _u_quadrature(block, names, context, depth)
-        terms = value.reshape(2, -1)
-        running = np.cumsum(np.concatenate([totals[:, None], terms], axis=1), axis=1)[:, 1:]
-        bound = (n_max - n) * np.abs(terms)
-        stop = np.flatnonzero(np.all(bound <= _MATSUBARA_TERM_REL * np.abs(running), axis=0))
-        last = stop[0] if stop.size else n.size - 1
-        totals = running[:, last]
-        quad_err = quad_err + error.reshape(2, -1)[:, : last + 1].sum(axis=1)
-        if n_lo == 1:
-            mags = np.concatenate([mags, np.max(np.abs(terms[:, : last + 1]), axis=0)])
-        if stop.size:
-            tail = bound[:, last]
-            break
-        n_lo += size
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            while n_lo <= n_max:
+                if n_lo > _MATSUBARA_MAX_TERMS:
+                    raise ConvergenceError(f"Matsubara sum exceeded {_MATSUBARA_MAX_TERMS} terms ({context})")
+                depth, size = _block_start(n_lo * du)
+                n = np.arange(n_lo, n_lo + size)
+                n = n[n <= n_max]
+                names = lambda bad: "n=" + ", ".join(map(str, n[bad]))
+                value, error = _u_quadrature(_matsubara_block(cavity, L, du, theta, n), names, context, depth)
+                terms = value.reshape(2, -1)
+                running = np.cumsum(np.concatenate([totals[:, None], terms], axis=1), axis=1)[:, 1:]
+                bound = (n_max - n) * np.abs(terms)
+                stop = np.flatnonzero(np.all(bound <= _MATSUBARA_TERM_REL * np.abs(running), axis=0))
+                last = stop[0] if stop.size else n.size - 1
+                totals = running[:, last]
+                quad_err = quad_err + error.reshape(2, -1)[:, : last + 1].sum(axis=1)
+                if mags.size < _FEW_TERMS_WARN:
+                    mags = np.concatenate([mags, np.max(np.abs(terms[:, : last + 1]), axis=0)])
+                if stop.size:
+                    tail = bound[:, last]
+                    break
+                n_lo += size
+    except FloatingPointError:
+        raise DomainError(f"{too_cold}: the Matsubara terms are not finite") from None
 
     threshold = _MATSUBARA_TERM_REL * max(float(np.max(np.abs(totals))), 1e-300)
     prefactor = K_B * temperature / (8.0 * math.pi)
@@ -658,19 +649,28 @@ def _per_area(mirrors: CavityReflection, L: float, temperature: float):
             f"error estimate {rel_err:.2e} above ceiling {_ERROR_CEILING:.0e} "
             f"({path}, L={L:.3e} m, T={temperature} K)"
         )
-    return e_per_area, f_per_area, rel_err, (FLAG_FEW_MATSUBARA,) if few else ()
+    return float(e_per_area), float(f_per_area), rel_err, (FLAG_FEW_MATSUBARA,) if few else ()
+
+
+def _times_area(name: str, per_area: float, config: CavityConfig) -> float:
+    """A times a result per area; DomainError naming L and A where it is not finite or 0."""
+    value = _check_finite(name, config.A * per_area, L=config.L, A=config.A)
+    if value == 0.0:
+        raise DomainError(f"{name} underflows to 0 at L={config.L!r}, A={config.A!r}")
+    return value
 
 
 def _plane_result(config: CavityConfig) -> ForceResult:
     """ForceResult of a cavity at its temperature; eta_T is set for T > 0."""
     e_per_area, f_per_area, rel_err, flags = _per_area(config.mirrors, config.L, config.temperature)
+    force = _times_area("force", f_per_area, config)
     eta_t = None
     if config.temperature > 0.0:
         f0_per_area = _per_area(config.mirrors, config.L, 0.0)[1]
-        eta_t = config.A * f_per_area / (config.A * f0_per_area)
+        eta_t = force / _times_area("zero-temperature force", f0_per_area, config)
     return ForceResult(
-        force=_check_finite("force", config.A * f_per_area, L=config.L, A=config.A),
-        energy=_check_finite("energy", config.A * e_per_area, L=config.L, A=config.A),
+        force=force,
+        energy=_times_area("energy", e_per_area, config),
         eta_E=e_per_area / ideal_energy_per_area(config.L),
         eta_F=f_per_area / ideal_force_per_area(config.L),
         numerical_error=rel_err,

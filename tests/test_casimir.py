@@ -148,7 +148,7 @@ def zero_t_per_phi_loop(cavity_reflection, L):
 
             def inner(u):
                 xi = (0.5 * C / L) * math.cos(phi) * u
-                g_e, g_f = casimir._kernels(cavity_reflection.amplitude_imaginary(xi, (0.5 / L) * u), u)
+                g_e, g_f = expression_kernels(expression_loop_amplitudes(cavity_reflection, xi, (0.5 / L) * u), u)
                 return np.stack([u * u * g_e, u**3 * g_f], axis=-1)
 
             res = adaptive_gauss_legendre(inner, 0.0, 80.0, rel_tol=1e-10)
@@ -174,10 +174,10 @@ def matsubara_per_term_loop(cavity_reflection, L, T):
 
         def integrand(u, n=n):
             if n == 0:
-                amplitudes = cavity_reflection.amplitude_static((0.5 / L) * u)
+                amplitudes = expression_static_amplitudes(cavity_reflection, (0.5 / L) * u)
             else:
-                amplitudes = cavity_reflection.amplitude_imaginary(n * theta, (0.5 / L) * u)
-            g_e, g_f = casimir._kernels(amplitudes, u)
+                amplitudes = expression_loop_amplitudes(cavity_reflection, n * theta, (0.5 / L) * u)
+            g_e, g_f = expression_kernels(amplitudes, u)
             return np.stack([u * g_e, u * u * g_f], axis=-1)
 
         res = adaptive_gauss_legendre(integrand, u_n, u_n + 80.0, rel_tol=1e-10)
@@ -254,6 +254,20 @@ def expression_loop_amplitudes(cavity_reflection, xi, kappa):
     te1, tm1 = mirror_pair(cavity_reflection.mirror1)
     te2, tm2 = mirror_pair(cavity_reflection.mirror2)
     return te1 * te2, tm1 * tm2
+
+
+def expression_static_amplitudes(cavity_reflection, k):
+    """Loop amplitudes at xi -> 0 and in-plane k: r_TM = 1, and r_TE of a
+    plasma mirror -d / (d + 2k) with d = kp^2 / (k + sqrt(k^2 + kp^2))."""
+
+    def mirror_te(mirror):
+        if isinstance(mirror, PerfectMirror):
+            return -1.0
+        kp2 = (mirror.plasma_frequency / C) ** 2
+        d = kp2 / (k + np.sqrt(k * k + kp2))
+        return -d / (d + 2.0 * k)
+
+    return mirror_te(cavity_reflection.mirror1) * mirror_te(cavity_reflection.mirror2), 1.0
 
 
 def expression_kernels(amplitudes, u):
@@ -638,6 +652,45 @@ class TestZeroTemperatureRegime:
             real_mirror_energy(cavity(1e-6, 0.0, GOLD))
 
 
+class TestAsymptoticOracles:
+    """T = 0 plasma pairs against series that share nothing with the
+    quadrature, at both ends of the L range."""
+
+    @pytest.mark.parametrize("plasma_wavelength", [136e-9, 1e-6, 1e-3])
+    def test_large_distance_series(self, plasma_wavelength):
+        # Lambrecht & Reynaud, Eur. Phys. J. D 8, 309 (2000), in
+        # d = lambda_p / (2 pi L); eta_E takes the d^k coefficient of eta_F
+        # times 3 / (3 + k).  The residual is about -440 d^5 (F) and -165 d^5
+        # (E), so the bound pins the d^3 coefficient to 0.1 %
+        c3, c4 = 1.0 - math.pi**2 / 210.0, 1.0 - 163.0 * math.pi**2 / 7350.0
+        mirror = PlasmaMirror.from_wavelength(plasma_wavelength)
+        for ratio in (10.0, 30.0, 100.0, 300.0, 1000.0):
+            L = ratio * plasma_wavelength
+            d = 1.0 / (2.0 * math.pi * ratio)
+            eta_f = 1 - 16 / 3 * d + 24 * d**2 - 640 / 7 * c3 * d**3 + 2800 / 9 * c4 * d**4
+            eta_e = 1 - 4 * d + 72 / 5 * d**2 - 320 / 7 * c3 * d**3 + 400 / 3 * c4 * d**4
+            res = real_mirror_force(cavity(L, 0.0, mirror))
+            bound = 1000.0 * d**5 + res.numerical_error
+            assert abs(res.eta_F - eta_f) <= bound, (ratio, res.eta_F - eta_f)
+            assert abs(res.eta_E - eta_e) <= bound, (ratio, res.eta_E - eta_e)
+
+    def test_short_distance_limit(self):
+        # nonretarded limit of two plasma half-spaces: E/A = hbar omega_p J /
+        # (16 pi^2 L^2), with (eps - 1)/(eps + 1) = 1/(1 + 2 t^2) at
+        # xi = omega_p t, so eta_E -> 90 J L / (pi^3 lambda_p).
+        # J = Int_0^inf Li3((1 + 2 t^2)^-2) dt by mpmath at 30 digits
+        J = 0.616685930996120500729
+        plasma_wavelength = 1e-6
+        mirror = PlasmaMirror.from_wavelength(plasma_wavelength)
+        gaps = []
+        for ratio in (3e-2, 1e-2, 3e-3, 1e-3):
+            L = ratio * plasma_wavelength
+            eta_e = real_mirror_energy(cavity(L, 0.0, mirror)).eta_E
+            gaps.append(eta_e * math.pi**3 / (90.0 * J * ratio) - 1.0)
+        assert all(a < b < 0.0 for a, b in zip(gaps, gaps[1:])), gaps
+        assert abs(gaps[-1]) <= 1e-3
+
+
 class TestMatsubaraSum:
     @pytest.mark.parametrize("T", [1.0, 2.0])
     def test_error_bounds_perfect_pair_at_small_spacing(self, T):
@@ -739,8 +792,20 @@ class TestMatsubaraSum:
         assert len(blocks) > 1
         for terms, nodes in blocks:
             assert terms * nodes[0] <= 128 * 84
-        # the few-terms count runs over n = 0 and the first block
+        # the first block holds every term the few-terms count reads here,
+        # though the count would read on into later blocks
         assert blocks[0][0] >= casimir._FEW_TERMS_WARN
+
+    def test_few_terms_flag_does_not_depend_on_block_size(self, monkeypatch):
+        # the count reads the first ten terms from whichever blocks hold them:
+        # 3-term blocks keep the flags of gold at 300 K, off at 1 um
+        pair = CavityReflection(GOLD, GOLD)
+        lengths = (1e-6, 3e-6, 10e-6)
+        flags = [casimir._per_area(pair, L, 300.0)[3] for L in lengths]
+        assert flags == [(), (FLAG_FEW_MATSUBARA,), (FLAG_FEW_MATSUBARA,)]
+        block_start = casimir._block_start
+        monkeypatch.setattr(casimir, "_block_start", lambda u_lo: (block_start(u_lo)[0], 3))
+        assert [casimir._per_area(pair, L, 300.0)[3] for L in lengths] == flags
 
     @pytest.mark.parametrize("T, text", [
         (1e-100, "the Matsubara terms are not finite"),

@@ -236,6 +236,16 @@ class TestExitCodes:
         assert path.read_bytes() == b"earlier result\n"
         capsys.readouterr()
 
+    def test_overflowing_quadrature_result_is_two_with_one_line(self):
+        # a new process, with Python's default warning filters: the error is
+        # the whole of stderr, with no RuntimeWarning before it
+        argv = ["force", "--length-um", "0.001", "--area-cm2", "1e304", "--material", "plasma:0.1",
+                "--temperature-K", "300"]
+        proc = subprocess.run([sys.executable, "-m", "vacuumkit.cli", *argv], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: force is not finite at L=1e-09, A=1e+300: got inf\n"
+        assert proc.stdout == ""
+
     def test_unknown_material_is_two(self, capsys):
         assert main(["force", "--length-um", "1", "--area-cm2", "1", "--material", "x"]) == 2
         capsys.readouterr()

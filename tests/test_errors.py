@@ -7,6 +7,7 @@ from vacuumkit import (
     CavityReflection,
     DomainError,
     PerfectMirror,
+    PlasmaMirror,
     SpherePlaneConfig,
     ThermalState,
     casimir_inertia_mass,
@@ -21,6 +22,9 @@ from vacuumkit import (
 )
 
 PERFECT_PAIR = CavityReflection(PerfectMirror(), PerfectMirror())
+GOLD = PlasmaMirror.from_wavelength(136e-9)
+# a dense plasma mirror: at 1 nm its F/A is near that of a perfect pair
+DENSE = PlasmaMirror.from_wavelength(0.1e-9)
 
 
 @pytest.mark.parametrize(
@@ -34,6 +38,13 @@ PERFECT_PAIR = CavityReflection(PerfectMirror(), PerfectMirror())
         ),
         (lambda: thermal_force(CavityConfig.symmetric(1e-26, 1e296, 0.0, PerfectMirror())), r"L=1e-26, A=1e\+296"),
         (lambda: thermal_energy(CavityConfig.symmetric(1e-18, 1e300, 300.0, PerfectMirror())), r"L=1e-18, A=1e\+300"),
+        # the Matsubara sum, the T = 0 quadrature and the perfect-pair
+        # series form their results from numpy sums: they return floats,
+        # which overflow without a warning and print as inf
+        (lambda: thermal_force(CavityConfig.symmetric(1e-9, 1e300, 300.0, DENSE)), r"L=1e-09, A=1e\+300: got inf$"),
+        (lambda: thermal_force(CavityConfig.symmetric(1e-9, 1e300, 0.0, DENSE)), r"L=1e-09, A=1e\+300: got inf$"),
+        (lambda: thermal_force(CavityConfig.symmetric(1e-9, 1e300, 1e6, PerfectMirror())),
+         r"L=1e-09, A=1e\+300: got inf$"),
         (lambda: vacuum_susceptibility(1e300, 1e10), r"Omega=1e\+300, A=10000000000.0"),
         (lambda: thermal_susceptibility(1e300, 1e300, ThermalState(1e10)), r"Omega=1e\+300, A=1e\+300, T=1"),
         (lambda: energy_density(1e100, ThermalState(0.0)), r"omega_max=1e\+100, T=0.0"),
@@ -46,6 +57,9 @@ PERFECT_PAIR = CavityReflection(PerfectMirror(), PerfectMirror())
         "sphere_plane_force",
         "thermal_force",
         "thermal_energy",
+        "thermal_force-matsubara",
+        "thermal_force-zero-t-quadrature",
+        "thermal_force-perfect-series",
         "vacuum_susceptibility",
         "thermal_susceptibility",
         "energy_density_cutoff",
@@ -56,3 +70,19 @@ PERFECT_PAIR = CavityReflection(PerfectMirror(), PerfectMirror())
 def test_overflowing_result_is_a_domain_error(call, inputs):
     with pytest.raises(DomainError, match=f"not finite at {inputs}"):
         call()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        # F(T) and F(0) both underflow to 0, which left eta_T = 0/0
+        (CavityConfig.symmetric(1e5, 1e-300, 300.0, GOLD), r"^force underflows to 0 at L=100000.0, A=1e-300$"),
+        # F(T) is finite but F(0), eta_T's denominator, underflows to 0
+        (CavityConfig.symmetric(1e5, 1e-280, 300.0, GOLD),
+         r"^zero-temperature force underflows to 0 at L=100000.0, A=1e-280$"),
+    ],
+    ids=["force", "zero-temperature-force"],
+)
+def test_underflowing_plane_result_is_a_domain_error(config, message):
+    with pytest.raises(DomainError, match=message):
+        thermal_force(config)
