@@ -56,11 +56,12 @@ terms, two columns per term, on u = u_n + s, s in [0, 40]: fewer terms
 where the start chain is deeper, so that no start mesh holds more values
 than 128 terms on 84 nodes would.
 
-The n = 0 kernels have a log singularity at u = 0.  Every supported pair
-reflects fully there (r_p = 1 at k = 0), so each kernel splits into that
-of a perfect pair, which integrates to 2 zeta(3) (energy) and 4 zeta(3)
-(force) summed over polarizations, and a remainder that is smooth at
-u = 0 (``_static_remainder``); only the remainder is integrated.
+The n = 0 kernels have a log singularity at u = 0, where every supported
+pair reflects fully (r_TM = 1, and r_TE = 1 at k = 0), so they split into
+those of a perfect pair, which integrate to 2 zeta(3) (energy) and
+4 zeta(3) (force) summed over polarizations, and a TE remainder smooth at
+u = 0 (``_static_remainder``) of the deficit 1 - r_TE that the mirrors
+form without subtraction; only the remainder is integrated.
 
 Terms fall monotonically in n for every supported pair (r_TE depends on
 kappa = u/2L only, r_TM falls with xi, and the lower limit u_n rises) and
@@ -208,13 +209,23 @@ def ideal_energy_per_area(L: float) -> float:
 def ideal_force(L: float, A: float) -> float:
     """Perfect-mirror attraction at T = 0 [N]; scales as 1/L^4."""
     A = _check_positive("A", A)
-    return _check_finite("ideal_force", A * ideal_force_per_area(L), L=L, A=A)
+    return _times_area("ideal_force", A, ideal_force_per_area(L), L=L, A=A)
 
 
 def ideal_energy(L: float, A: float) -> float:
     """Perfect-mirror binding-energy magnitude at T = 0 [J]; equals F L / 3."""
     A = _check_positive("A", A)
-    return _check_finite("ideal_energy", A * ideal_energy_per_area(L), L=L, A=A)
+    return _times_area("ideal_energy", A, ideal_energy_per_area(L), L=L, A=A)
+
+
+def _times_area(name: str, factor: float, per_area: float, **inputs) -> float:
+    """factor (A, or 2 pi R) times a result per area; DomainError naming the
+    ``inputs`` where it is not finite or is subnormal, past any estimate."""
+    value = _check_finite(name, factor * per_area, **inputs)
+    if abs(value) < np.finfo(float).tiny:
+        args = ", ".join(f"{key}={arg!r}" for key, arg in inputs.items())
+        raise DomainError(f"{name} underflows to 0 at {args}")
+    return value
 
 
 # --- configuration and result records --------------------------------------
@@ -332,25 +343,18 @@ def _kernels(amplitudes, u, scratch: Scratch):
     return g_e, g_f
 
 
-def _static_remainder(amplitudes, u):
-    """The n = 0 energy and force kernels of the static loop amplitudes
-    ``(r_TE, r_TM)`` less those of a perfect pair.
+def _static_remainder(d, u):
+    """The n = 0 energy and force kernels of a pair less those of a perfect
+    pair, from the loop's static TE deficit d = 1 - r_TE (r_TM = 1).
 
-    Every supported pair has r_p = 1 at k = 0.  With d = 1 - r_p each
-    polarization's kernel splits exactly into its perfect-pair part and a
-    remainder that stays finite as u -> 0, where d/u does:
+    The TE kernel splits exactly into its perfect-pair part and a remainder
+    that stays finite as u -> 0, where d/u does:
 
         -ln(1 - r e^-u) = -ln(1 - e^-u) - log1p(d / expm1(u)),
         r e^-u / (1 - r e^-u) = 1 / expm1(u) - d / ((expm1(u) + d)(-expm1(-u))).
     """
     em1 = np.expm1(u)
-    one_minus = -np.expm1(-u)
-    g_e = g_f = 0.0
-    for r in amplitudes:
-        d = 1.0 - r
-        g_e = g_e - np.log1p(d / em1)
-        g_f = g_f - d / ((em1 + d) * one_minus)
-    return g_e, g_f
+    return -np.log1p(d / em1), -d / ((em1 + d) * -np.expm1(-u))
 
 
 def _relative(error, value) -> float:
@@ -360,29 +364,27 @@ def _relative(error, value) -> float:
     return float(np.max(error / scale))
 
 
-def _u_quadrature(f, names, context: str, depth: int, offset=0.0):
-    """(offset + value, absolute error) of every column of f over [0, U_SPAN].
+def _u_quadrature(f, names, context: str, depth: int):
+    """(value, absolute error) of every column of f over [0, U_SPAN].
 
     f maps nodes of shape (q,) to values of shape (q, 2c): c energy
     columns, then the c force columns.  Refinement starts from the dyadic
     chain of ``depth``, with edges at U_SPAN 2^-depth, ..., U_SPAN/2, which
     the caller's kernels always reach.  Each column meets the inner
-    tolerance on its own, as the quadrature ranks panels per column in
-    units of its own integral of |f|, or else within the tolerance of
-    offset + value, the term it joins.  A ConvergenceError names the
+    tolerance of its own value, as the quadrature ranks panels per column
+    in units of its own integral of |f|.  A ConvergenceError names the
     failing column pairs by ``names(mask)`` and adds ``context``.
     """
     points = [math.ldexp(_U_SPAN, -d) for d in range(depth, 0, -1)]
     res = adaptive_gauss_legendre(f, 0.0, _U_SPAN, rel_tol=_INNER_REL_TOL, points=points)
-    value = res.value + offset
     if not res.converged:
-        failing = ~(res.error <= _INNER_REL_TOL * np.abs(value)).reshape(2, -1).all(axis=0)  # NaN fails
+        failing = ~(res.error <= _INNER_REL_TOL * np.abs(res.value)).reshape(2, -1).all(axis=0)  # NaN fails
         if failing.any():
             raise ConvergenceError(
                 f"inner u-quadrature did not converge at {names(failing)} "
                 f"({context}, error estimate {float(np.max(res.error))})"
             )
-    return value, res.error
+    return res.value, res.error
 
 
 def _zero_t_inner(cavity: CavityReflection, L: float, phis):
@@ -513,14 +515,13 @@ def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
     n_max = _U_SPAN // du
 
     def static_term(u):
-        g_e, g_f = _static_remainder(cavity.amplitude_static((0.5 / L) * u), u)
+        g_e, g_f = _static_remainder(cavity.static_deficit((0.5 / L) * u), u)
         return np.stack([u * g_e, u * u * g_f], axis=-1)
 
     # n = 0: the perfect-pair parts in closed form (their share past the
-    # u-cut is below 3e-15), and the smooth remainder by quadrature, held
-    # to the tolerance of the term they form
-    value, error = _u_quadrature(static_term, lambda bad: "n=0", context, _STATIC_DEPTH, _PERFECT_STATIC)
-    totals, quad_err, tail = 0.5 * value, 0.5 * error, np.zeros(2)
+    # u-cut is below 3e-15), and the smooth TE remainder by quadrature
+    value, error = _u_quadrature(static_term, lambda bad: "n=0", context, _STATIC_DEPTH)
+    totals, quad_err, tail = 0.5 * (_PERFECT_STATIC + value), 0.5 * error, np.zeros(2)
     mags = np.max(np.abs(totals), keepdims=True)
 
     n_lo = 1
@@ -652,25 +653,17 @@ def _per_area(mirrors: CavityReflection, L: float, temperature: float):
     return float(e_per_area), float(f_per_area), rel_err, (FLAG_FEW_MATSUBARA,) if few else ()
 
 
-def _times_area(name: str, per_area: float, config: CavityConfig) -> float:
-    """A times a result per area; DomainError naming L and A where it is not finite or 0."""
-    value = _check_finite(name, config.A * per_area, L=config.L, A=config.A)
-    if value == 0.0:
-        raise DomainError(f"{name} underflows to 0 at L={config.L!r}, A={config.A!r}")
-    return value
-
-
 def _plane_result(config: CavityConfig) -> ForceResult:
-    """ForceResult of a cavity at its temperature; eta_T is set for T > 0."""
+    """ForceResult of a cavity at its temperature; eta_T, set for T > 0, is
+    F/A(T) / F/A(0), which needs no area."""
     e_per_area, f_per_area, rel_err, flags = _per_area(config.mirrors, config.L, config.temperature)
-    force = _times_area("force", f_per_area, config)
+    force = _times_area("force", config.A, f_per_area, L=config.L, A=config.A)
     eta_t = None
     if config.temperature > 0.0:
-        f0_per_area = _per_area(config.mirrors, config.L, 0.0)[1]
-        eta_t = force / _times_area("zero-temperature force", f0_per_area, config)
+        eta_t = f_per_area / _per_area(config.mirrors, config.L, 0.0)[1]
     return ForceResult(
         force=force,
-        energy=_times_area("energy", e_per_area, config),
+        energy=_times_area("energy", config.A, e_per_area, L=config.L, A=config.A),
         eta_E=e_per_area / ideal_energy_per_area(config.L),
         eta_F=f_per_area / ideal_force_per_area(config.L),
         numerical_error=rel_err,
@@ -810,9 +803,8 @@ def sphere_plane_force(config: SpherePlaneConfig) -> SpherePlaneResult:
     standard Derjaguin coefficient of the mapping.
     """
     e_per_area, _, rel_err, flags = _per_area(config.mirrors, config.L, config.temperature)
-    force = 2.0 * math.pi * config.R * e_per_area
     return SpherePlaneResult(
-        force=_check_finite("sphere_plane_force", force, R=config.R, L=config.L),
+        force=_times_area("sphere_plane_force", 2.0 * math.pi * config.R, e_per_area, R=config.R, L=config.L),
         eta=e_per_area / ideal_energy_per_area(config.L),
         plane_energy_per_area=e_per_area,
         numerical_error=rel_err,

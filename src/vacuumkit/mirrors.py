@@ -10,13 +10,15 @@ reflects and the real-axis spectral integrand is not an ordinary
 function.  ``airy_factor`` evaluates the real-axis redistribution factor
 for a loop amplitude supplied by the caller.
 
-Every amplitude method returns the pair (r_TE, r_TM) that each spectral
-sum needs.  The imaginary-axis methods take xi and the decay constant
+The imaginary-axis amplitude methods return the pair (r_TE, r_TM) that
+each spectral sum needs.  They take xi and the decay constant
 kappa = sqrt(xi^2/c^2 + k^2), which the Casimir integrands hold as u/2L;
 ``reflection_amplitude_imaginary``, the entry in xi and the in-plane
 wavenumber k, alone forms it.  A perfect mirror's pair is the scalars
 (-1.0, 1.0).  A cavity of two equal mirrors evaluates the mirror once and squares its pair, which gives the
-same bits as the product of two evaluations.
+same bits as the product of two evaluations.  At xi -> 0 every mirror has
+r_TM = 1; ``static_deficit`` returns 1 - |r_TE| without forming it by
+subtraction, so it stays accurate where |r_TE| lies within rounding of 1.
 
 The imaginary-axis amplitudes take an optional ``Scratch``: named float64
 buffers that are kept from call to call, separately in each thread.  With
@@ -103,8 +105,8 @@ class PerfectMirror:
     def amplitude_imaginary(self, xi, kappa, scratch=None):
         return -1.0, 1.0
 
-    def amplitude_static(self, k):
-        return -1.0, 1.0
+    def static_deficit(self, k):
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -179,12 +181,12 @@ class PlasmaMirror:
         np.divide(d_tm, num, out=d_tm)
         return d_te, d_tm
 
-    def amplitude_static(self, k):
-        """xi -> 0 limit at fixed k: TM -> +1, TE keeps its k dependence."""
+    def static_deficit(self, k):
+        """1 - |r_TE| = 2k/(d + 2k) at xi -> 0 and in-plane wavenumber k."""
         k = np.asarray(k, dtype=float)
         kp2 = (self.plasma_frequency / C) ** 2
         d = kp2 / (k + np.sqrt(k * k + kp2))
-        return -d / (d + 2.0 * k), 1.0
+        return 2.0 * k / (d + 2.0 * k)
 
 
 Mirror = Union[PerfectMirror, PlasmaMirror]
@@ -247,12 +249,13 @@ class CavityReflection:
         te2, tm2 = self.mirror2.amplitude_imaginary(xi, kappa, None if scratch is None else scratch.partner)
         return _product(te1, te2), _product(tm1, tm2)
 
-    def amplitude_static(self, k):
-        te1, tm1 = self.mirror1.amplitude_static(k)
+    def static_deficit(self, k):
+        """1 - r_TE of the loop at xi -> 0, from the mirrors' deficits:
+        1 - (1 - delta_1)(1 - delta_2) = delta_1 + delta_2 (1 - delta_1)."""
+        delta1 = self.mirror1.static_deficit(k)
         if self.mirror2 == self.mirror1:
-            return te1 * te1, tm1 * tm1
-        te2, tm2 = self.mirror2.amplitude_static(k)
-        return te1 * te2, tm1 * tm2
+            return delta1 * (2.0 - delta1)
+        return delta1 + self.mirror2.static_deficit(k) * (1.0 - delta1)
 
 
 def _product(r1, r2):

@@ -542,7 +542,7 @@ class TestThermalPath:
         # mesh, the dyadic chain of depth d (d + 1 panels), then once per
         # bisection, and nothing else evaluates them
         calls = []
-        for name in ("amplitude_imaginary", "amplitude_static"):
+        for name in ("amplitude_imaginary", "static_deficit"):
             method = getattr(CavityReflection, name)
 
             def counting(self, *args, _method=method):
@@ -818,10 +818,9 @@ class TestMatsubaraSum:
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("T", [300.0, 3000.0])
-    def test_static_remainder_is_held_to_the_term_it_joins(self, T):
-        # at 0.1 m the n = 0 remainder of a 1 nm plasma pair is about -7.7e-9,
-        # known to about 1e-17 but never to 1e-10 of itself; 1e-10 of the
-        # n = 0 term 2 zeta(3) + remainder is what the sum needs
+    def test_nearly_perfect_pair_matches_the_perfect_series(self, T):
+        # at 0.1 m the n = 0 remainder of a 1 nm plasma pair is about -7.7e-9
+        # of the term, and the sum stays within 1e-7 of a perfect pair's
         e_per_area, f_per_area, rel_err, _ = casimir._per_area(symmetric_pair(1e-9), 0.1, T)
         assert rel_err < casimir._ERROR_CEILING
         e_perfect, f_perfect, _, _, _ = casimir._perfect_thermal_per_area(0.1, T)
@@ -955,8 +954,8 @@ def mpmath_static_integrals(L, plasma_wavelength, partner_perfect):
 
 
 class TestStaticTerm:
-    """The n = 0 term: perfect-pair parts in closed form plus a smooth
-    remainder by quadrature."""
+    """The n = 0 term: perfect-pair parts in closed form plus a smooth TE
+    remainder by quadrature, formed from the static TE deficit 1 - r_TE."""
 
     PAIRS = [
         CavityReflection(PERFECT, PERFECT),
@@ -969,15 +968,37 @@ class TestStaticTerm:
     @pytest.mark.parametrize("k", [0.0, np.zeros(3)], ids=["scalar", "array"])
     @pytest.mark.parametrize("pair", PAIRS, ids=["perfect", "gold", "gold-perfect", "perfect-gold", "gold-other"])
     def test_every_pair_reflects_fully_at_zero_k(self, pair, k):
-        # the precondition of the split: r_p(k = 0) = 1 for both polarizations
-        te, tm = pair.amplitude_static(k)
-        assert np.all(np.asarray(te) == 1.0) and np.all(np.asarray(tm) == 1.0)
+        # the precondition of the split: r_TE(k = 0) = 1, a deficit of exactly
+        # 0 (r_TM = 1 at every k, test_mirrors)
+        assert np.all(np.asarray(pair.static_deficit(k)) == 0.0)
 
     def test_perfect_pair_remainder_is_exactly_zero(self):
         u = np.geomspace(1e-12, 80.0, 200)
         pair = CavityReflection(PERFECT, PERFECT)
-        g_e, g_f = casimir._static_remainder(pair.amplitude_static(u / 2e-6), u)
+        g_e, g_f = casimir._static_remainder(pair.static_deficit(u / 2e-6), u)
         assert np.all(g_e == 0.0) and np.all(g_f == 0.0)
+
+    @pytest.mark.parametrize("plasma_wavelength", [1e-9, 30e-9])
+    @pytest.mark.parametrize("partner_perfect", [False, True], ids=["symmetric", "perfect"])
+    @pytest.mark.parametrize("L", [1e-3, 1e-2, 0.1])
+    def test_converges_on_its_start_mesh(self, monkeypatch, plasma_wavelength, partner_perfect, L):
+        # at 0.1 m the remainder of a 1 nm pair is some 1e-9 of the term, yet
+        # known to 1e-10 of itself: n = 0, the first u-quadrature of the sum,
+        # ends on its 4 start panels, 84 evaluations
+        mirror = PlasmaMirror.from_wavelength(plasma_wavelength)
+        pair = CavityReflection(mirror, PERFECT if partner_perfect else mirror)
+        results = []
+        quadrature = casimir.adaptive_gauss_legendre
+
+        def recording(f, a, b, **kwargs):
+            results.append(quadrature(f, a, b, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(casimir, "adaptive_gauss_legendre", recording)
+        casimir._per_area(pair, L, 300.0)
+        static = results[0]
+        assert static.converged
+        assert (static.panels, static.evaluations) == (casimir._STATIC_DEPTH + 1, 84)
 
     @pytest.mark.parametrize(
         "L, partner_perfect",
@@ -998,7 +1019,7 @@ class TestStaticTerm:
             assert error <= 1e-14  # exact to round-off
 
     # every term n >= 1 lies past the u-cut, and the n = 0 remainder is some
-    # 1e-8 of the term, known to about 1e-17 of it: without the round-off of
+    # 1e-8 of the term, known to 1e-10 of itself: without the round-off of
     # assembling the result the estimate would fall below the true error
     @pytest.mark.parametrize("plasma_wavelength, partner_perfect, L, T", [
         (1e-9, True, 0.1, 300.0),
@@ -1034,7 +1055,7 @@ class TestUCut:
     @staticmethod
     def share_past_cut(f, depth, offset=0.0):
         """Largest |Int_U^2U f| / |offset + Int_0^2U f| over f's columns."""
-        head, _ = casimir._u_quadrature(f, str, "", depth, offset)
+        head = offset + casimir._u_quadrature(f, str, "", depth)[0]
         tail = adaptive_gauss_legendre(f, casimir._U_SPAN, 2.0 * casimir._U_SPAN, rel_tol=1e-10)
         assert tail.converged
         return float(np.max(np.abs(tail.value) / np.abs(head + tail.value)))
@@ -1047,7 +1068,7 @@ class TestUCut:
             shares.append(self.share_past_cut(casimir._zero_t_inner(pair, L, phis), casimir._ZERO_T_DEPTH))
 
             def static_term(u):
-                g_e, g_f = casimir._static_remainder(pair.amplitude_static((0.5 / L) * u), u)
+                g_e, g_f = casimir._static_remainder(pair.static_deficit((0.5 / L) * u), u)
                 return np.stack([u * g_e, u * u * g_f], axis=-1)
 
             shares.append(self.share_past_cut(static_term, casimir._STATIC_DEPTH, casimir._PERFECT_STATIC))

@@ -20,6 +20,7 @@ from vacuumkit import (
     thermal_susceptibility,
     vacuum_susceptibility,
 )
+from vacuumkit import casimir
 
 PERFECT_PAIR = CavityReflection(PerfectMirror(), PerfectMirror())
 GOLD = PlasmaMirror.from_wavelength(136e-9)
@@ -77,12 +78,36 @@ def test_overflowing_result_is_a_domain_error(call, inputs):
     [
         # F(T) and F(0) both underflow to 0, which left eta_T = 0/0
         (CavityConfig.symmetric(1e5, 1e-300, 300.0, GOLD), r"^force underflows to 0 at L=100000.0, A=1e-300$"),
-        # F(T) is finite but F(0), eta_T's denominator, underflows to 0
-        (CavityConfig.symmetric(1e5, 1e-280, 300.0, GOLD),
-         r"^zero-temperature force underflows to 0 at L=100000.0, A=1e-280$"),
+        # F(T), about 4e-317 N, is subnormal: its relative error would
+        # exceed any estimate
+        (CavityConfig.symmetric(1e5, 1e-280, 300.0, GOLD), r"^force underflows to 0 at L=100000.0, A=1e-280$"),
     ],
-    ids=["force", "zero-temperature-force"],
+    ids=["force", "subnormal-force"],
 )
 def test_underflowing_plane_result_is_a_domain_error(config, message):
     with pytest.raises(DomainError, match=message):
         thermal_force(config)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ideal_force(1e5, 1e-300), r"^ideal_force underflows to 0 at L=100000.0, A=1e-300$"),
+        (lambda: ideal_energy(1e5, 1e-300), r"^ideal_energy underflows to 0 at L=100000.0, A=1e-300$"),
+        (
+            lambda: sphere_plane_force(SpherePlaneConfig(R=1e-300, L=1e5, temperature=0.0, mirrors=PERFECT_PAIR)),
+            r"^sphere_plane_force underflows to 0 at R=1e-300, L=100000.0$",
+        ),
+    ],
+    ids=["ideal_force", "ideal_energy", "sphere_plane_force"],
+)
+def test_underflowing_closed_form_result_is_a_domain_error(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+def test_eta_t_of_a_tiny_area_is_the_ratio_of_forces_per_area():
+    # A F/A(0) would be subnormal here, 1.3e-317 N; the ratio needs no area
+    res = thermal_force(CavityConfig.symmetric(1e5, 1e-270, 300.0, GOLD))
+    pair = CavityReflection(GOLD, GOLD)
+    assert res.eta_T == casimir._per_area(pair, 1e5, 300.0)[1] / casimir._per_area(pair, 1e5, 0.0)[1]

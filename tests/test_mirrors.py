@@ -66,13 +66,12 @@ class TestPlasmaAmplitudes:
                 for xi in (1e10, 1e8, 1e6)
             ]
             assert values[-1] == pytest.approx(1.0, abs=1e-4)
-            assert GOLD.amplitude_static(k)[TM] == 1.0
 
     def test_static_te_matches_small_xi(self):
+        # the static deficit is 1 - |r_TE| in the limit xi -> 0
         k = 3e6
-        limit = GOLD.amplitude_static(k)[TE]
         near = reflection_amplitude_imaginary(GOLD, 1e4, k)[TE]
-        assert near == pytest.approx(limit, rel=1e-8)
+        assert GOLD.static_deficit(k) == pytest.approx(1.0 - abs(near), rel=1e-8)
 
     def test_magnitude_monotone_decreasing_in_xi(self):
         xis = np.geomspace(1e12, 1e18, 40)
@@ -141,7 +140,7 @@ def test_amplitudes_match_mpmath_near_transparency():
             pairs = [
                 ((kappa - kappa_m) / (kappa + kappa_m), r_te),
                 ((eps * kappa - kappa_m) / (eps * kappa + kappa_m), r_tm),
-                ((kk - k_m) / (kk + k_m), mirror.amplitude_static(k_i)[TE]),
+                (2 * kk / (kk + k_m), mirror.static_deficit(k_i)),
             ]
             worst = max(worst, max(float(abs(r - ref) / abs(ref)) for ref, r in pairs))
     assert worst <= 2e-15
@@ -222,7 +221,7 @@ class TestCavityReflection:
     @staticmethod
     def _count_calls(monkeypatch, cls):
         calls = []
-        for name in ("amplitude_imaginary", "amplitude_static"):
+        for name in ("amplitude_imaginary", "static_deficit"):
             original = getattr(cls, name)
 
             def counted(self, *args, _original=original, _name=name):
@@ -237,7 +236,7 @@ class TestCavityReflection:
         k = np.array([[2e5], [2e6], [7e7]])
         expected_te = GOLD.amplitude_imaginary(xi, k)[TE] * GOLD.amplitude_imaginary(xi, k)[TE]
         expected_tm = GOLD.amplitude_imaginary(xi, k)[TM] * GOLD.amplitude_imaginary(xi, k)[TM]
-        static_te = GOLD.amplitude_static(k)[TE] * GOLD.amplitude_static(k)[TE]
+        delta = GOLD.static_deficit(k)
         calls = self._count_calls(monkeypatch, PlasmaMirror)
         # an equal mirror, not the same object, also counts as symmetric
         cavity = CavityReflection(GOLD, PlasmaMirror.from_wavelength(136e-9))
@@ -246,10 +245,9 @@ class TestCavityReflection:
         np.testing.assert_array_equal(te, expected_te)
         np.testing.assert_array_equal(tm, expected_tm)
         calls.clear()
-        te, tm = cavity.amplitude_static(k)
-        assert calls == [("amplitude_static", GOLD)]
-        np.testing.assert_array_equal(te, static_te)
-        assert tm == 1.0
+        deficit = cavity.static_deficit(k)
+        assert calls == [("static_deficit", GOLD)]
+        np.testing.assert_array_equal(deficit, delta * (2.0 - delta))
 
     def test_unequal_pairs_evaluate_both_mirrors(self, monkeypatch):
         other = PlasmaMirror.from_wavelength(1e-6)
@@ -264,8 +262,10 @@ class TestCavityReflection:
         te, tm = CavityReflection(GOLD, other).amplitude_imaginary(xi, k)
         assert plasma_calls == [("amplitude_imaginary", GOLD), ("amplitude_imaginary", other)]
         plasma_calls.clear()
-        CavityReflection(GOLD, other).amplitude_static(k)
-        assert plasma_calls == [("amplitude_static", GOLD), ("amplitude_static", other)]
+        deficit = CavityReflection(GOLD, other).static_deficit(k)
+        assert plasma_calls == [("static_deficit", GOLD), ("static_deficit", other)]
+        delta1, delta2 = GOLD.static_deficit(k), other.static_deficit(k)
+        assert deficit == delta1 + delta2 * (1.0 - delta1)
 
 
 class TestScratch:
