@@ -45,23 +45,35 @@ column held to the inner tolerance on its own.  Past the cut at 40 no
 column holds more than 4.6e-14 of its integral, and every error estimate
 of a quadrature path adds that share.  It starts, in one integrand call,
 from the dyadic chain of panels toward u = 0 that its refinement always
-reaches, so its bits are those of refining from one panel: of depth 9 at
-T = 0, 3 for n = 0, and for each block of n >= 1 terms the depth its
-first term's u_lo sets, 2 to 14 (``_block_start``).  At T = 0 each
-refinement step of the outer phi quadrature evaluates the phi integrand
-once, at the 21 nodes of the first panel or the 42 of both halves of a
-bisected one, and so runs one u-quadrature with twice as many columns.
-The Matsubara sum runs n = 0 alone and n >= 1 in blocks of up to 128
-terms, two columns per term, on u = u_n + s, s in [0, 40]: fewer terms
-where the start chain is deeper, so that no start mesh holds more values
-than 128 terms on 84 nodes would.
+reaches, so its bits are those of refining from one panel: of depth 9 for
+the direct T = 0 kernels, 3 for the remainders below, and for each block
+of n >= 1 terms the depth its first term's u_lo sets, 2 to 14
+(``_block_start``).  At T = 0 each refinement step of the outer phi
+quadrature evaluates the phi integrand once, at the 21 nodes of the first
+panel or the 42 of both halves of a bisected one, and so runs one
+u-quadrature with twice as many columns.  The Matsubara sum runs its terms
+in blocks of up to 128, two columns per term, on u = u_n + s, s in
+[0, 40]: the first block holds n = 0 too, from depth 3 or deeper, and
+fewer terms stand in a block where its start chain is deeper, so that no
+start mesh holds more values than 128 terms on 84 nodes would.  A sum
+whose terms n >= 1 fit in one block takes one quadrature call.
 
-The n = 0 kernels have a log singularity at u = 0, where every supported
-pair reflects fully (r_TM = 1, and r_TE = 1 at k = 0), so they split into
-those of a perfect pair, which integrate to 2 zeta(3) (energy) and
-4 zeta(3) (force) summed over polarizations, and a TE remainder smooth at
-u = 0 (``_static_remainder``) of the deficit 1 - r_TE that the mirrors
-form without subtraction; only the remainder is integrated.
+At u -> 0 every supported pair reflects fully: r_TE = 1 at kappa = 0, and
+r_TM = 1 at xi = 0.  So the kernels split exactly into those of a perfect
+pair, with their u^2 ln u (T = 0) or ln u (n = 0) at u = 0, and a
+remainder in the loop deficits delta_p = 1 - r_p that stays finite there
+(``_remainder_kernels``); the mirrors form the deficits without
+subtraction.  The perfect parts integrate in closed form, only the
+remainder by quadrature:
+
+    n = 0:  2 zeta(3) (energy) and 4 zeta(3) (force) less the remainder of
+            the static TE deficit (r_TM = 1);
+    T = 0:  the closed forms less the (u, phi) remainder, for a pair that
+            is not perfect at L at or above its larger lambda_p.  There
+            the remainder, 1 - eta_E ~ 4 lambda_p / (2 pi L), is small.
+            Below, it nears the closed form and the subtraction would
+            cancel, so such lengths, and perfect pairs, integrate the
+            pair's own kernels.
 
 Terms fall monotonically in n for every supported pair (r_TE depends on
 kappa = u/2L only, r_TM falls with xi, and the lower limit u_n rises) and
@@ -80,8 +92,9 @@ and raises ConvergenceError, naming the path, L and T, above the error
 ceiling.  Every public operation, the sweep and the sphere-plane mapping
 are built on it.
 
-The T = 0 and Matsubara integrands (``_zero_t_inner``, ``_matsubara_block``)
-evaluate the amplitudes, kernels and their own values into buffers that
+The T = 0 and Matsubara integrands (``_zero_t_inner``,
+``_zero_t_remainder_inner``, ``_matsubara_block``) evaluate the
+amplitudes or deficits, kernels and their own values into buffers that
 each thread keeps from call to call (``_SCRATCH``), with the ufuncs and
 operand grouping of the expressions they stand for, so no call allocates a
 full-size array and the bits are those of a fresh evaluation.
@@ -115,16 +128,18 @@ _INNER_REL_TOL = 1e-10
 # depth of the dyadic chain [0, U_SPAN 2^-d], ..., [U_SPAN/4, U_SPAN/2],
 # [U_SPAN/2, U_SPAN] that each u-quadrature starts from.  Refined from
 # [0, U_SPAN] alone, every u-quadrature over lambda_p from 30 nm to 1 um,
-# L from 1 nm to 100 um and T up to 3000 K ended on such a chain, at depth
-# 9 to 17 at T = 0 (every T = 0 kernel has a perfect pair's u^2 ln u at
-# u = 0, as a plasma pair reflects fully at kappa -> 0), at least 3 for
-# n = 0 and, for the n >= 1 blocks, at least the depth ``_block_start``
-# gives (BENCH_18.json, BENCH_21.json and BENCH_22.json; the first two
-# measured the same chains with one more panel, [U_SPAN, 2 U_SPAN]).
-# Starting there keeps every bit of the result and makes one integrand
-# call where the chain took d + 1 serial ones.
+# L from 1 nm to 100 um and T up to 3000 K ended on such a chain: at depth
+# 9 to 17 for the direct T = 0 kernels (each has a perfect pair's u^2 ln u
+# at u = 0, as a plasma pair reflects fully at kappa -> 0), at least 3 for
+# the remainders, which leave that part out (n = 0, and T = 0 at
+# L >= lambda_p, BENCH_26.json), and, for the n >= 1 blocks, at least the
+# depth ``_block_start`` gives (BENCH_18.json, BENCH_21.json and
+# BENCH_22.json; the first two measured the same chains with one more
+# panel, [U_SPAN, 2 U_SPAN]).  Starting there keeps every bit of the
+# result and makes one integrand call where the chain took d + 1 serial
+# ones.
 _ZERO_T_DEPTH = 9
-_STATIC_DEPTH = 3
+_REMAINDER_DEPTH = 3
 
 _MATSUBARA_TERM_REL = 1e-10
 _MATSUBARA_MAX_TERMS = 1_000_000
@@ -145,6 +160,9 @@ _ZETA3 = 1.2020569031595942
 # Int_0^inf du u G_E and Int_0^inf du u^2 G_F of a perfect pair at n = 0,
 # summed over both polarizations
 _PERFECT_STATIC = np.array([2.0 * _ZETA3, 4.0 * _ZETA3])
+# Int dphi sin(phi) Int_0^inf du u^2 G_E, and u^3 G_F, of a perfect pair at
+# T = 0: 4 zeta(4) and 12 zeta(4), the closed forms over hbar c / (32 pi^2 L^n)
+_PERFECT_ZERO_T = np.array([math.pi**4 / 22.5, 2.0 * math.pi**4 / 15.0])
 # t = 2 k_B T L / (hbar c) at and below which a perfect pair takes the
 # low-temperature form; above it the Lambert series needs at most 74 terms
 _LOW_T_SWITCH = 0.087
@@ -163,9 +181,10 @@ _U_CUT_ERROR = 4.6e-14
 
 # the buffers of the T = 0 and Matsubara integrands, kept per thread; each
 # grows to the largest node-by-column array asked of it: about 65 kB for a
-# 128-term block on 63 nodes, and at most 81 kB for 32 terms on the 315
-# nodes of depth 14, the largest Matsubara start mesh.  The two integrands
-# never run inside one another, so they share names
+# 128-term block on 63 nodes, and at most 86 kB for the first block's 128
+# terms on 84 nodes, the largest Matsubara start mesh (32 terms on the 315
+# nodes of depth 14 take 81 kB).  The integrands never run inside one
+# another, so they share names
 _SCRATCH = Scratch()
 
 FLAG_PLANE_LIMIT = "A_not_much_larger_than_L_squared"
@@ -220,11 +239,16 @@ def ideal_energy(L: float, A: float) -> float:
 
 def _times_area(name: str, factor: float, per_area: float, **inputs) -> float:
     """factor (A, or 2 pi R) times a result per area; DomainError naming the
-    ``inputs`` where it is not finite or is subnormal, past any estimate."""
+    ``inputs`` where it is not finite, underflows to 0, or is subnormal:
+    nonzero but below the smallest normal float, where its relative error
+    exceeds any estimate."""
     value = _check_finite(name, factor * per_area, **inputs)
-    if abs(value) < np.finfo(float).tiny:
+    tiny = float(np.finfo(float).tiny)
+    if abs(value) < tiny:
         args = ", ".join(f"{key}={arg!r}" for key, arg in inputs.items())
-        raise DomainError(f"{name} underflows to 0 at {args}")
+        if value == 0.0:
+            raise DomainError(f"{name} underflows to 0 at {args}")
+        raise DomainError(f"{name} is subnormal at {args}: {value!r} lies below the smallest normal float {tiny!r}")
     return value
 
 
@@ -343,18 +367,37 @@ def _kernels(amplitudes, u, scratch: Scratch):
     return g_e, g_f
 
 
-def _static_remainder(d, u):
-    """The n = 0 energy and force kernels of a pair less those of a perfect
-    pair, from the loop's static TE deficit d = 1 - r_TE (r_TM = 1).
+def _remainder_kernels(d_te, d_tm, u, scratch: Scratch):
+    """Polarization-summed energy and force kernels of a perfect pair less
+    those of the pair with loop deficits ``d_te`` and ``d_tm`` = 1 - r_p,
+    arrays of their broadcast shape with u in the buffers of ``scratch``,
+    which the next call with it overwrites.
 
-    The TE kernel splits exactly into its perfect-pair part and a remainder
-    that stays finite as u -> 0, where d/u does:
+    Each kernel splits exactly into its perfect-pair part and a remainder,
+    formed without subtraction, that stays finite as u -> 0, where d/u does:
 
         -ln(1 - r e^-u) = -ln(1 - e^-u) - log1p(d / expm1(u)),
         r e^-u / (1 - r e^-u) = 1 / expm1(u) - d / ((expm1(u) + d)(-expm1(-u))).
+
+    The TE terms keep the shape of d_te and u, which at T = 0 holds no
+    angle, as r_TE depends on kappa alone.  A float d_tm is a perfect
+    pair's 0 (r_TM = 1, as at n = 0), which adds nothing.
     """
     em1 = np.expm1(u)
-    return -np.log1p(d / em1), -d / ((em1 + d) * -np.expm1(-u))
+    one_minus = -np.expm1(-u)
+    te_e = np.log1p(d_te / em1)
+    te_f = d_te / ((em1 + d_te) * one_minus)
+    if isinstance(d_tm, float):
+        return te_e, te_f
+    r_e, r_f = scratch("remainder", np.broadcast(d_te, d_tm, u).shape, 2)
+    np.divide(d_tm, em1, out=r_e)
+    np.log1p(r_e, out=r_e)
+    np.add(te_e, r_e, out=r_e)
+    np.add(em1, d_tm, out=r_f)
+    np.multiply(r_f, one_minus, out=r_f)
+    np.divide(d_tm, r_f, out=r_f)
+    np.add(te_f, r_f, out=r_f)
+    return r_e, r_f
 
 
 def _relative(error, value) -> float:
@@ -413,47 +456,83 @@ def _zero_t_inner(cavity: CavityReflection, L: float, phis):
     return inner
 
 
-def _matsubara_block(cavity: CavityReflection, L: float, du: float, theta: float, n):
-    """The u-integrand of the Matsubara terms ``n`` >= 1, on u = u_n + s:
-    nodes s of shape (q,) to the (q, 2c) values u G_E and u^2 G_F of the c
-    terms, energy columns first.  Every array of q c elements is a buffer
-    of this thread's scratch, the result too, which the next call
+def _zero_t_remainder_inner(cavity: CavityReflection, L: float, phis):
+    """The T = 0 remainder's u-integrand at the m angles ``phis``: nodes u
+    of shape (q,) to the (q, 2m) values u^2 R_E and u^3 R_F of the perfect
+    pair's kernels less the pair's (``_remainder_kernels``), energy columns
+    first.  Only the TM deficit is formed on the (u, phi) grid, r_TE
+    depending on kappa = u / 2L alone.  Every array of q m elements is a
+    buffer of this thread's scratch, the result too, which the next call
     overwrites."""
-    u_n, xi = n * du, n * theta
+    xi_scale = (0.5 * C / L) * np.cos(phis)
+    m = phis.size
+
+    def inner(u):
+        scratch = _SCRATCH
+        uc = u[:, None]
+        kappa = (0.5 / L) * uc
+        (xi,) = scratch("grid", (u.size, m), 1)
+        np.multiply(xi_scale, uc, out=xi)
+        d_tm = cavity.tm_deficit(xi, kappa, scratch)
+        r_e, r_f = _remainder_kernels(cavity.static_deficit(kappa), d_tm, uc, scratch)
+        u2 = uc * uc
+        (out,) = scratch("integrand", (u.size, 2 * m), 1)
+        np.multiply(u2, r_e, out=out[:, :m])
+        np.multiply(u2 * uc, r_f, out=out[:, m:])
+        return out
+
+    return inner
+
+
+def _matsubara_block(cavity: CavityReflection, L: float, du: float, theta: float, n):
+    """The u-integrand of the Matsubara terms ``n``, on u = u_n + s: nodes
+    s of shape (q,) to the (q, 2c) values u G_E and u^2 G_F of the c terms,
+    energy columns first.  A term n = 0, first where ``n`` holds it, takes
+    the perfect pair's kernels less the pair's (``_remainder_kernels`` of
+    the static deficits), which stay finite at u = 0.  Every array of q c
+    elements is a buffer of this thread's scratch, the result too, which
+    the next call overwrites."""
+    static = int(n[0] == 0)
+    u_n, xi = n[static:] * du, n[static:] * theta
     c = n.size
 
     def block(s):
         scratch = _SCRATCH
-        u, kappa = scratch("grid", (s.size, c), 2)
-        np.add(u_n, s[:, None], out=u)
-        np.multiply(0.5 / L, u, out=kappa)
-        g_e, g_f = _kernels(cavity.amplitude_imaginary(xi, kappa, scratch), u, scratch)
         (out,) = scratch("integrand", (s.size, 2 * c), 1)
-        np.multiply(u, g_e, out=out[:, :c])
-        u2 = np.multiply(u, u, out=g_e)
-        np.multiply(u2, g_f, out=out[:, c:])
+        if static:
+            r_e, r_f = _remainder_kernels(cavity.static_deficit((0.5 / L) * s), 0.0, s, scratch)
+            np.multiply(s, r_e, out=out[:, 0])
+            np.multiply(s * s, r_f, out=out[:, c])
+        if c > static:
+            u, kappa = scratch("grid", (s.size, c - static), 2)
+            np.add(u_n, s[:, None], out=u)
+            np.multiply(0.5 / L, u, out=kappa)
+            g_e, g_f = _kernels(cavity.amplitude_imaginary(xi, kappa, scratch), u, scratch)
+            np.multiply(u, g_e, out=out[:, static:c])
+            u2 = np.multiply(u, u, out=g_e)
+            np.multiply(u2, g_f, out=out[:, c + static :])
         return out
 
     return block
 
 
-def _zero_temperature_per_area(cavity: CavityReflection, L: float):
-    """(E/A, F/A, relative error) at T = 0 by the (u, phi) double quadrature.
+def _angular(inner, cavity: CavityReflection, L: float, depth: int):
+    """(outer QuadratureResult, worst relative inner error) of the double
+    quadrature of ``inner(cavity, L, phis)`` over phi in [0, pi/2].
 
     Each call of the phi-integrand at m nodes (21 or 42, one outer
-    refinement step) runs one batched u-quadrature: columns j and m + j
-    are the energy and force integrals at phi_j.  It starts from the chain
-    of depth ``_ZERO_T_DEPTH``, 210 nodes in one call, where refinement
-    from [0, U_SPAN] took 10 serial calls on 399 nodes to reach it.
+    refinement step) runs one batched u-quadrature from the chain of
+    ``depth``: columns j and m + j are the energy and force integrals at
+    phi_j.  A ConvergenceError names the failing angles and L.
     """
     worst_inner = [0.0]
 
     def outer_integrand(phis):
         value, error = _u_quadrature(
-            _zero_t_inner(cavity, L, phis),
+            inner(cavity, L, phis),
             lambda bad: "phi=" + ", ".join(f"{p:.6f}" for p in phis[bad]),
             f"L={L:.3e} m",
-            _ZERO_T_DEPTH,
+            depth,
         )
         worst_inner[0] = max(worst_inner[0], _relative(error, value))
         return np.sin(phis)[:, None] * value.reshape(2, phis.size).T
@@ -463,11 +542,51 @@ def _zero_temperature_per_area(cavity: CavityReflection, L: float):
         raise ConvergenceError(
             f"angular quadrature did not converge (L={L:.3e} m, error estimate {outer.error})"
         )
+    return outer, worst_inner[0]
 
+
+def _zero_t_direct_per_area(cavity: CavityReflection, L: float):
+    """(E/A, F/A, relative error) at T = 0 from the pair's own kernels.  The
+    u-quadratures start from the chain of depth ``_ZERO_T_DEPTH``, 210
+    nodes in one call, where refinement from [0, U_SPAN] took 10 serial
+    calls on 399 nodes to reach it."""
+    outer, inner_error = _angular(_zero_t_inner, cavity, L, _ZERO_T_DEPTH)
     j_e, j_f = outer.value
     prefactor = HBAR * C / (32.0 * math.pi**2)
-    rel_err = _relative(outer.error, outer.value) + worst_inner[0] + _U_CUT_ERROR + _ROUNDOFF_ERROR
+    rel_err = _relative(outer.error, outer.value) + inner_error + _U_CUT_ERROR + _ROUNDOFF_ERROR
     return prefactor * j_e / L**3, prefactor * j_f / L**4, rel_err
+
+
+def _zero_t_remainder_per_area(cavity: CavityReflection, L: float):
+    """(E/A, F/A, relative error) at T = 0 as the closed forms less the
+    remainder R of ``_zero_t_remainder_inner``, whose u-quadratures start
+    from the chain of depth ``_REMAINDER_DEPTH``, 84 nodes.
+
+    R is 1 - eta of the result, about 4 lambda_p / (2 pi L) for the energy
+    far above lambda_p, so the estimate scales R's error by
+    R / (closed form - R).  That ratio grows without bound as L falls
+    below lambda_p, where the subtraction cancels.  The perfect pair's
+    share past the u-cut, which bounds R's, counts against the closed form.
+    """
+    outer, inner_error = _angular(_zero_t_remainder_inner, cavity, L, _REMAINDER_DEPTH)
+    j_e, j_f = value = _PERFECT_ZERO_T - outer.value
+    error = outer.error + inner_error * np.abs(outer.value) + _U_CUT_ERROR * _PERFECT_ZERO_T
+    prefactor = HBAR * C / (32.0 * math.pi**2)
+    return prefactor * j_e / L**3, prefactor * j_f / L**4, _relative(error, value) + _ROUNDOFF_ERROR
+
+
+def _zero_temperature_per_area(cavity: CavityReflection, L: float):
+    """(E/A, F/A, relative error) at T = 0 by a (u, phi) double quadrature.
+
+    A pair that is not perfect takes the closed forms less a remainder in
+    its deficits 1 - r_p where L is at least its larger plasma wavelength
+    (``_zero_t_remainder_per_area``); perfect pairs, and any pair below
+    that length, where the subtraction would cancel, integrate their own
+    kernels (``_zero_t_direct_per_area``).
+    """
+    if not cavity.both_perfect and L >= cavity.max_plasma_wavelength:
+        return _zero_t_remainder_per_area(cavity, L)
+    return _zero_t_direct_per_area(cavity, L)
 
 
 def _block_start(u_lo: float):
@@ -494,16 +613,21 @@ def _block_start(u_lo: float):
 def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
     """(E/A, F/A, relative error, contributing terms) of the Matsubara sum.
 
-    n = 0 starts from the chain of depth ``_STATIC_DEPTH``, each block of
-    n >= 1 from the chain its first term's u_lo sets (``_block_start``):
-    where du is small the first blocks are short and deep, the later ones
-    128 terms at depth 2.  The relative error adds the quadrature errors
-    of the summed terms, the tail bound, the share past the u-cut and the
+    The first block holds n = 0 and the block of terms from n = 1, in one
+    u-quadrature from the chain of depth ``_REMAINDER_DEPTH`` or the deeper
+    one u_1 sets, and at most 512 // (depth + 1) terms, so that its start
+    mesh too holds no more values than 128 terms on 84 nodes would.  Each
+    later block starts from the chain its first term's u_lo sets
+    (``_block_start``).  Where du is small the first blocks are short and
+    deep, the later ones 128 terms at depth 2.  n = 0 is the perfect
+    pair's term in closed form less the quadrature of its smooth
+    remainder.  The relative error adds the quadrature errors of the
+    summed terms, the tail bound, the share past the u-cut and the
     round-off of assembling the result.  Contributing terms are counted
-    over n = 0 and the blocks that hold the first ``_FEW_TERMS_WARN``
-    terms, exact below that as terms fall with n.  DomainError names L and
-    T where du underflows to 0 or a term is not finite, first in the first
-    block, which holds the smallest xi.
+    over the blocks that hold the first ``_FEW_TERMS_WARN`` terms, exact
+    below that as terms fall with n.  DomainError names L and T where du
+    underflows to 0 or a term is not finite, first in the first block,
+    which holds the smallest xi.
     """
     theta = ThermalState(temperature).temperature_frequency
     du = 2.0 * theta * L / C  # spacing of u_n = 2 xi_n L / c
@@ -514,34 +638,40 @@ def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
     # later terms start past the u-cut; a float, as it may exceed any integer type
     n_max = _U_SPAN // du
 
-    def static_term(u):
-        g_e, g_f = _static_remainder(cavity.static_deficit((0.5 / L) * u), u)
-        return np.stack([u * g_e, u * u * g_f], axis=-1)
-
-    # n = 0: the perfect-pair parts in closed form (their share past the
-    # u-cut is below 3e-15), and the smooth TE remainder by quadrature
-    value, error = _u_quadrature(static_term, lambda bad: "n=0", context, _STATIC_DEPTH)
-    totals, quad_err, tail = 0.5 * (_PERFECT_STATIC + value), 0.5 * error, np.zeros(2)
-    mags = np.max(np.abs(totals), keepdims=True)
-
-    n_lo = 1
+    tail = np.zeros(2)
+    n_lo = 0
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             while n_lo <= n_max:
                 if n_lo > _MATSUBARA_MAX_TERMS:
                     raise ConvergenceError(f"Matsubara sum exceeded {_MATSUBARA_MAX_TERMS} terms ({context})")
-                depth, size = _block_start(n_lo * du)
+                if n_lo:
+                    depth, size = _block_start(n_lo * du)
+                else:
+                    # u_1, or the cut where n = 1 lies past it
+                    depth, size = _block_start(min(du, _U_SPAN))
+                    depth = max(depth, _REMAINDER_DEPTH)
+                    size = min(size + 1, 4 * _BLOCK_TERMS // (depth + 1))
                 n = np.arange(n_lo, n_lo + size)
                 n = n[n <= n_max]
-                names = lambda bad: "n=" + ", ".join(map(str, n[bad]))
+                # a failing n = 0 is named alone, as the term of the sum's first call
+                names = lambda bad: "n=0" if bad[0] and n[0] == 0 else "n=" + ", ".join(map(str, n[bad]))
                 value, error = _u_quadrature(_matsubara_block(cavity, L, du, theta, n), names, context, depth)
-                terms = value.reshape(2, -1)
+                terms, error = value.reshape(2, -1), error.reshape(2, -1)
+                if n_lo == 0:
+                    # n = 0 at half weight: the perfect-pair parts in closed form
+                    # (their share past the u-cut is below 3e-15) less the remainder
+                    totals, quad_err = 0.5 * (_PERFECT_STATIC - terms[:, 0]), 0.5 * error[:, 0]
+                    mags = np.max(np.abs(totals), keepdims=True)
+                    n, terms, error = n[1:], terms[:, 1:], error[:, 1:]
+                    if not n.size:
+                        break
                 running = np.cumsum(np.concatenate([totals[:, None], terms], axis=1), axis=1)[:, 1:]
                 bound = (n_max - n) * np.abs(terms)
                 stop = np.flatnonzero(np.all(bound <= _MATSUBARA_TERM_REL * np.abs(running), axis=0))
                 last = stop[0] if stop.size else n.size - 1
                 totals = running[:, last]
-                quad_err = quad_err + error.reshape(2, -1)[:, : last + 1].sum(axis=1)
+                quad_err = quad_err + error[:, : last + 1].sum(axis=1)
                 if mags.size < _FEW_TERMS_WARN:
                     mags = np.concatenate([mags, np.max(np.abs(terms[:, : last + 1]), axis=0)])
                 if stop.size:

@@ -17,8 +17,9 @@ kappa = sqrt(xi^2/c^2 + k^2), which the Casimir integrands hold as u/2L;
 wavenumber k, alone forms it.  A perfect mirror's pair is the scalars
 (-1.0, 1.0).  A cavity of two equal mirrors evaluates the mirror once and squares its pair, which gives the
 same bits as the product of two evaluations.  At xi -> 0 every mirror has
-r_TM = 1; ``static_deficit`` returns 1 - |r_TE| without forming it by
-subtraction, so it stays accurate where |r_TE| lies within rounding of 1.
+r_TM = 1; ``static_deficit`` returns 1 - |r_TE|, which depends on kappa
+alone, and ``tm_deficit`` 1 - r_TM at any xi, neither formed by
+subtraction, so they stay accurate where |r| lies within rounding of 1.
 
 The imaginary-axis amplitudes take an optional ``Scratch``: named float64
 buffers that are kept from call to call, separately in each thread.  With
@@ -102,10 +103,16 @@ class PerfectMirror:
     perfect-mirror limit.
     """
 
+    # the limit omega_p -> infinity of a plasma mirror
+    plasma_wavelength = 0.0
+
     def amplitude_imaginary(self, xi, kappa, scratch=None):
         return -1.0, 1.0
 
     def static_deficit(self, k):
+        return 0.0
+
+    def tm_deficit(self, xi, kappa, scratch):
         return 0.0
 
 
@@ -148,38 +155,55 @@ class PlasmaMirror:
         take = _fresh if scratch is None else scratch
         xi = np.asarray(xi, dtype=float)
         kappa = np.asarray(kappa, dtype=float)
+        kappa_m, d_tm, work = self._tm_parts(xi, kappa, take)
+        d_te, two_kappa = take("plasma te", kappa.shape, 2)
+        np.add(kappa, kappa_m, out=d_te)
+        np.divide((self.plasma_frequency / C) ** 2, d_te, out=d_te)
+        # r_TE = -d_te / (d_te + 2 kappa), r_TM = d_tm / (d_tm + 2 kappa_m)
+        np.multiply(2.0, kappa, out=two_kappa)
+        np.add(d_te, two_kappa, out=two_kappa)
+        np.negative(d_te, out=d_te)
+        np.divide(d_te, two_kappa, out=d_te)
+        np.multiply(2.0, kappa_m, out=kappa_m)
+        np.add(d_tm, kappa_m, out=work)
+        np.divide(d_tm, work, out=d_tm)
+        return d_te, d_tm
+
+    def tm_deficit(self, xi, kappa, scratch):
+        """1 - r_TM = 2 kappa_m / (d_tm + 2 kappa_m) at imaginary frequency xi
+        and decay constant kappa, of their broadcast shape, in the buffers
+        of ``scratch``, which the next call with it overwrites."""
+        kappa_m, d_tm, work = self._tm_parts(np.asarray(xi, dtype=float), np.asarray(kappa, dtype=float), scratch)
+        np.multiply(2.0, kappa_m, out=kappa_m)
+        np.add(d_tm, kappa_m, out=work)
+        np.divide(kappa_m, work, out=d_tm)
+        return d_tm
+
+    def _tm_parts(self, xi, kappa, take):
+        """kappa_m = sqrt(kappa^2 + kp^2) of kappa's shape, and d_tm with a
+        free buffer of the broadcast shape, all from ``take``."""
         kp2 = (self.plasma_frequency / C) ** 2
         # factors of xi alone keep xi's shape, those of kappa alone kappa's
         q2, a, eps, eps_1 = take("plasma xi", xi.shape, 4)
-        kappa2, kappa_m, d_te = take("plasma kappa", kappa.shape, 3)
-        num, d_tm = take("plasma", np.broadcast(xi, kappa).shape, 2)
+        kappa2, kappa_m = take("plasma kappa", kappa.shape, 2)
+        work, d_tm = take("plasma", np.broadcast(xi, kappa).shape, 2)
         np.divide(xi, C, out=q2)
         np.square(q2, out=q2)
         np.square(kappa, out=kappa2)
         np.add(kappa2, kp2, out=kappa_m)
         np.sqrt(kappa_m, out=kappa_m)
-        np.add(kappa, kappa_m, out=d_te)
-        np.divide(kp2, d_te, out=d_te)
         np.divide(self.plasma_frequency, xi, out=a)
         np.square(a, out=a)
         np.add(1.0, a, out=eps)
         # d_tm = a ((eps + 1) kappa^2 - q2) / (eps kappa + kappa_m)
         np.add(eps, 1.0, out=eps_1)
-        np.multiply(eps_1, kappa2, out=num)
-        np.subtract(num, q2, out=num)
-        np.multiply(a, num, out=num)
+        np.multiply(eps_1, kappa2, out=work)
+        np.subtract(work, q2, out=work)
+        np.multiply(a, work, out=work)
         np.multiply(eps, kappa, out=d_tm)
         np.add(d_tm, kappa_m, out=d_tm)
-        np.divide(num, d_tm, out=d_tm)
-        # r_TE = -d_te / (d_te + 2 kappa), r_TM = d_tm / (d_tm + 2 kappa_m)
-        np.multiply(2.0, kappa, out=kappa2)
-        np.add(d_te, kappa2, out=kappa2)
-        np.negative(d_te, out=d_te)
-        np.divide(d_te, kappa2, out=d_te)
-        np.multiply(2.0, kappa_m, out=kappa_m)
-        np.add(d_tm, kappa_m, out=num)
-        np.divide(d_tm, num, out=d_tm)
-        return d_te, d_tm
+        np.divide(work, d_tm, out=d_tm)
+        return kappa_m, d_tm, work
 
     def static_deficit(self, k):
         """1 - |r_TE| = 2k/(d + 2k) at xi -> 0 and in-plane wavenumber k."""
@@ -239,6 +263,11 @@ class CavityReflection:
     def both_perfect(self) -> bool:
         return isinstance(self.mirror1, PerfectMirror) and isinstance(self.mirror2, PerfectMirror)
 
+    @property
+    def max_plasma_wavelength(self) -> float:
+        """The larger plasma wavelength of the two mirrors, 0 for a perfect one."""
+        return max(self.mirror1.plasma_wavelength, self.mirror2.plasma_wavelength)
+
     def amplitude_imaginary(self, xi, kappa, scratch=None):
         """Loop amplitudes (r_TE, r_TM) at xi and kappa, written over the
         first mirror's arrays: in ``scratch``, whose ``partner`` holds the
@@ -256,6 +285,20 @@ class CavityReflection:
         if self.mirror2 == self.mirror1:
             return delta1 * (2.0 - delta1)
         return delta1 + self.mirror2.static_deficit(k) * (1.0 - delta1)
+
+    def tm_deficit(self, xi, kappa, scratch):
+        """1 - r_TM of the loop at xi and kappa, delta_1 + delta_2 (1 - delta_1)
+        as in ``static_deficit``, written over the first mirror's array in
+        ``scratch``, whose ``partner`` holds the second mirror's of an
+        unequal pair; a perfect mirror's deficit, 0, drops out exactly."""
+        delta1 = self.mirror1.tm_deficit(xi, kappa, scratch)
+        delta2 = delta1 if self.mirror2 == self.mirror1 else self.mirror2.tm_deficit(xi, kappa, scratch.partner)
+        if isinstance(delta1, float) or isinstance(delta2, float):
+            return delta2 if isinstance(delta1, float) else delta1
+        (work,) = scratch("loop deficit", delta1.shape, 1)
+        np.subtract(1.0, delta1, out=work)
+        np.multiply(delta2, work, out=work)
+        return np.add(delta1, work, out=delta1)
 
 
 def _product(r1, r2):

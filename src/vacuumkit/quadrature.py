@@ -28,7 +28,8 @@ Each refinement step calls the integrand once: the starting panels on
 their 21 nodes each, then both halves of the bisected panel on 42 nodes,
 so a vector-valued integrand pays its per-call overhead once per step;
 each rule is one product over the step's panels.  The heap that ranks
-the panels is their only store.
+the panels is their only store; a call whose starting panels already
+meet the tolerance returns without building it.
 
 Determinism: panel selection breaks ties on the left endpoint and an
 insertion counter, and the final accumulation runs over panels sorted by
@@ -186,6 +187,22 @@ def adaptive_gauss_legendre(
         raise ValueError(f"points {points!r} must be finite, strictly increasing and inside ({a}, {b})")
 
     values, errors, aboves, abs_sums = _evaluate_panels(f, edges)
+    total = values.sum(axis=0)
+    total_err = errors.sum(axis=0)
+    # panels above their round-off floor, per component; an exact count, where
+    # running float sums of errors and floors would differ by round-off
+    total_above = aboves.sum(axis=0, dtype=int)
+
+    def done():
+        met = total_err <= rel_tol * np.abs(total)
+        # done once each component has converged or has all panels at their floor
+        return met, (met | (total_above == 0)).all()
+
+    met, finished = done()
+    if finished:
+        # the start mesh suffices: its panels are already in position order
+        return _result(values, errors, edges.size - 1, edges.size - 1, met)
+
     # each component's unit: the power of two in (I, 2I] of its Int|f| over
     # the starting panels, or 1 where that is 0 or not finite; dividing by it
     # is exact
@@ -200,17 +217,7 @@ def adaptive_gauss_legendre(
     ]
     heapq.heapify(heap)
 
-    total = values.sum(axis=0)
-    total_err = errors.sum(axis=0)
-    # panels above their round-off floor, per component; an exact count, where
-    # running float sums of errors and floors would differ by round-off
-    total_above = aboves.sum(axis=0, dtype=int)
-
-    while True:
-        met = total_err <= rel_tol * np.abs(total)
-        # done once each component has converged or has all panels at their floor
-        if (met | (total_above == 0)).all() or len(heap) >= _MAX_PANELS:
-            break
+    while not finished and len(heap) < _MAX_PANELS:
         _, pa, _, pb, pv, pe, p_above = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
 
@@ -221,23 +228,28 @@ def adaptive_gauss_legendre(
 
         for lo, hi, v, e, ab in zip((pa, pm), (pm, pb), values, errors, aboves):
             heapq.heappush(heap, (-float((e / unit).max()), lo, next(counter), hi, v, e, ab))
+        met, finished = done()
 
-    # Fixed-order accumulation over the panels sorted by position: a running
-    # sum, left to right, of each component; a one-component integrand keeps
-    # the bits of numpy's pairwise sum over its column
     heap.sort(key=lambda p: p[1])
-    if heap[0][4].size == 1:
-        value = np.sum([p[4] for p in heap], axis=0)
-        error = np.sum([p[5] for p in heap], axis=0)
+    return _result(np.array([p[4] for p in heap]), np.array([p[5] for p in heap]), len(heap), len(bounds) - 1, met)
+
+
+def _result(values, errors, panels: int, starting: int, met) -> QuadratureResult:
+    """QuadratureResult of the panels' (panel, component) values and errors
+    in position order.  Fixed-order accumulation: a running sum, left to
+    right, of each component; a one-component integrand keeps the bits of
+    numpy's pairwise sum over its column."""
+    if values.shape[1] == 1:
+        value, error = values.sum(axis=0), errors.sum(axis=0)
     else:
-        value, error = heap[0][4].copy(), heap[0][5].copy()
-        for p in heap[1:]:
-            value += p[4]
-            error += p[5]
+        value, error = values[0].copy(), errors[0].copy()
+        for v, e in zip(values[1:], errors[1:]):
+            value += v
+            error += e
     return QuadratureResult(
         value=value,
         error=error,
-        panels=len(heap),
-        evaluations=_KRONROD_NODES.size * (2 * len(heap) - len(bounds) + 1),
+        panels=panels,
+        evaluations=_KRONROD_NODES.size * (2 * panels - starting),
         converged=bool(met.all()),
     )

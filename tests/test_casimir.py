@@ -1,6 +1,7 @@
 """Casimir engine: closed forms, imaginary-axis quadrature, Matsubara
 sums, correction sweeps, and the sphere-plane mapping."""
 
+import collections
 import dataclasses
 import math
 import pickle
@@ -46,6 +47,7 @@ from vacuumkit import (
 from vacuumkit import casimir
 from vacuumkit.casimir import FLAG_FEW_MATSUBARA, FLAG_PLANE_LIMIT, FLAG_PROXIMITY
 from vacuumkit.constants import C, HBAR, K_B
+from vacuumkit.mirrors import Scratch
 from vacuumkit.quadrature import adaptive_gauss_legendre
 
 GOLD = PlasmaMirror.from_wavelength(136e-9)
@@ -538,31 +540,40 @@ class TestThermalPath:
         assert pure.eta_F < res.eta_F < 1.0
 
     def test_one_amplitude_call_per_u_quadrature_step(self, monkeypatch):
-        # each u-quadrature evaluates the amplitudes once on its whole start
-        # mesh, the dyadic chain of depth d (d + 1 panels), then once per
-        # bisection, and nothing else evaluates them
-        calls = []
-        for name in ("amplitude_imaginary", "static_deficit"):
+        # each u-quadrature evaluates each amplitude or deficit it uses once
+        # on its whole start mesh, the dyadic chain of depth d (d + 1
+        # panels), then once per bisection, and nothing else evaluates them.
+        # At 1 um the T = 0 solve behind eta_T takes the remainder
+        # (static_deficit and tm_deficit), and the one Matsubara block holds
+        # n = 0 (static_deficit) and n >= 1 (amplitude_imaginary)
+        calls = collections.Counter()
+        names = ("amplitude_imaginary", "static_deficit", "tm_deficit")
+        for name in names:
             method = getattr(CavityReflection, name)
 
-            def counting(self, *args, _method=method):
-                calls.append(1)
+            def counting(self, *args, _method=method, _name=name):
+                calls[_name] += 1
                 return _method(self, *args)
 
             monkeypatch.setattr(CavityReflection, name, counting)
-        steps = []
+        made = []
         quadrature = casimir.adaptive_gauss_legendre
 
         def recording(f, a, b, **kwargs):
+            before = collections.Counter(calls)
             res = quadrature(f, a, b, **kwargs)
             if b == casimir._U_SPAN:
-                steps.append(res.panels - len(kwargs["points"]))
+                steps = res.panels - len(kwargs["points"])
+                during = calls - before
+                assert during and set(during.values()) == {steps}, (during, steps)
+                made.append(during)
             return res
 
         monkeypatch.setattr(casimir, "adaptive_gauss_legendre", recording)
         thermal_force(cavity(1e-6, 300.0, GOLD))
-        assert len(steps) > 1
-        assert len(calls) == sum(steps)
+        assert len(made) > 1
+        assert sum(made, collections.Counter()) == calls
+        assert set(calls) == set(names)
 
     @pytest.mark.parametrize(
         "mirror, L, T",
@@ -650,6 +661,109 @@ class TestZeroTemperatureRegime:
         monkeypatch.setattr(casimir, "_INNER_REL_TOL", 1e-20)  # below the round-off floor
         with pytest.raises(ConvergenceError, match=r"phi=\d\.\d{6}.*L=1\.000e-06 m"):
             real_mirror_energy(cavity(1e-6, 0.0, GOLD))
+
+
+def remainder_oracle_per_area(L, plasma_wavelengths):
+    """(E/A, F/A) at T = 0, and the absolute error of each, of two mirrors
+    with the given plasma wavelengths (None for a perfect mirror): the
+    closed forms less the remainder R of the loop deficits d_p = 1 - r_p,
+    by QUADPACK in t = cos(phi) and u = 2 kappa L over u in [0, 200], with
+    the deficits written out here.  With a = 4 pi L / lambda_p and
+    eps = 1 + a^2 / (u t)^2, one plasma mirror has
+
+        1 - |r_TE| = 2 u / (u + sqrt(u^2 + a^2)),
+        1 - r_TM = 2 sqrt(u^2 + a^2) / (eps u + sqrt(u^2 + a^2)),
+
+    a perfect one 0, the loop 1 - (1 - d_1)(1 - d_2), and
+
+        E/A = hbar c / (32 pi^2 L^3) [4 zeta(4) - Int dt Int du u^2 sum_p log1p(d_p / expm1(u))],
+        F/A = hbar c / (32 pi^2 L^4) [12 zeta(4) - Int dt Int du u^3 sum_p d_p / ((expm1(u) + d_p)(1 - e^-u))].
+
+    d_TE holds no t, so its part is one u-integral."""
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    a_values = [None if lp is None else 4.0 * math.pi * L / lp for lp in plasma_wavelengths]
+
+    def loop(deficit):
+        d1, d2 = (0.0 if a is None else deficit(a) for a in a_values)
+        return d1 + d2 * (1.0 - d1)
+
+    def te(u):
+        return loop(lambda a: 2.0 * u / (u + math.hypot(u, a)))
+
+    def tm(u, t):
+        return loop(lambda a: 2.0 * math.hypot(u, a) / ((1.0 + (a / (u * t)) ** 2) * u + math.hypot(u, a)))
+
+    kernels = [
+        lambda u, d: u * u * math.log1p(d / math.expm1(u)),
+        lambda u, d: u**3 * d / ((math.expm1(u) + d) * -math.expm1(-u)),
+    ]
+    options = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+    results = []
+    for kernel, perfect, power in zip(kernels, (math.pi**4 / 22.5, 2.0 * math.pi**4 / 15.0), (3, 4)):
+        r_te, te_err = scipy_integrate.quad(lambda u: kernel(u, te(u)), 0.0, 200.0, **options)
+        inner_errors = []
+
+        def over_u(t):
+            value, error = scipy_integrate.quad(lambda u: kernel(u, tm(u, t)), 0.0, 200.0, **options)
+            inner_errors.append(error)
+            return value
+
+        r_tm, tm_err = scipy_integrate.quad(over_u, 0.0, 1.0, **options)
+        prefactor = HBAR * C / (32.0 * math.pi**2 * L**power)
+        error = te_err + tm_err + max(inner_errors)
+        results.append((prefactor * (perfect - r_te - r_tm), prefactor * error))
+    return results
+
+
+class TestZeroTemperatureRemainder:
+    """At L >= lambda_p, T = 0 is the closed forms less the (u, phi)
+    integral of the remainder kernels in the loop deficits d_p = 1 - r_p:
+
+        R_E = sum_p log1p(d_p / expm1(u)),
+        R_F = sum_p d_p / ((expm1(u) + d_p)(1 - e^-u)),
+
+    formed without subtraction; below lambda_p, and for perfect pairs, the
+    pair's own kernels are integrated."""
+
+    @pytest.mark.parametrize("plasma_wavelengths, ratio", [
+        ((136e-9, 136e-9), 1.0),
+        ((136e-9, 136e-9), 30.0),
+        ((136e-9, None), 3.0),
+    ], ids=["gold-1", "gold-30", "gold-perfect-3"])
+    def test_against_quadpack_oracle(self, plasma_wavelengths, ratio):
+        # the oracle is good to a tenth of the estimate it checks, which falls
+        # to about 5e-14 far above lambda_p
+        mirrors = [PERFECT if lp is None else PlasmaMirror.from_wavelength(lp) for lp in plasma_wavelengths]
+        L = ratio * 136e-9
+        e_per_area, f_per_area, rel_err = casimir._zero_temperature_per_area(CavityReflection(*mirrors), L)
+        for value, (ref, ref_err) in zip((e_per_area, f_per_area), remainder_oracle_per_area(L, plasma_wavelengths)):
+            assert ref_err <= 0.1 * rel_err * ref
+            assert abs(value / ref - 1.0) <= rel_err, (value / ref - 1.0, rel_err)
+
+    @pytest.mark.parametrize("ratio", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("partner", [GOLD, PERFECT], ids=["symmetric", "perfect"])
+    def test_direct_and_remainder_forms_agree(self, ratio, partner):
+        pair = CavityReflection(GOLD, partner)
+        L = ratio * GOLD.plasma_wavelength
+        e_direct, f_direct, err_direct = casimir._zero_t_direct_per_area(pair, L)
+        e_rem, f_rem, err_rem = casimir._zero_t_remainder_per_area(pair, L)
+        assert abs(e_rem / e_direct - 1.0) <= err_direct + err_rem
+        assert abs(f_rem / f_direct - 1.0) <= err_direct + err_rem
+        assert casimir._zero_temperature_per_area(pair, L) == (e_rem, f_rem, err_rem)
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["136-231", "231-136"])
+    def test_unequal_pair_switches_on_its_larger_plasma_wavelength(self, order):
+        pair = CavityReflection(*(GOLD, PlasmaMirror.from_wavelength(231e-9))[::order])
+        assert pair.max_plasma_wavelength == PlasmaMirror.from_wavelength(231e-9).plasma_wavelength
+        below, at = 0.99 * pair.max_plasma_wavelength, pair.max_plasma_wavelength
+        assert casimir._zero_temperature_per_area(pair, below) == casimir._zero_t_direct_per_area(pair, below)
+        assert casimir._zero_temperature_per_area(pair, at) == casimir._zero_t_remainder_per_area(pair, at)
+        assert casimir._zero_t_direct_per_area(pair, at) != casimir._zero_t_remainder_per_area(pair, at)
+
+    def test_perfect_pair_keeps_its_own_kernels(self, monkeypatch):
+        pair = CavityReflection(PERFECT, PERFECT)
+        monkeypatch.setattr(casimir, "_zero_t_remainder_per_area", None)
+        assert casimir._zero_temperature_per_area(pair, 1e-6) == casimir._zero_t_direct_per_area(pair, 1e-6)
 
 
 class TestAsymptoticOracles:
@@ -879,7 +993,12 @@ class TestBufferedIntegrands:
         rng = np.random.default_rng(20)
         nodes = np.sort(rng.uniform(0.0, casimir._U_SPAN, q))
         phis = np.sort(rng.uniform(0.0, 0.5 * math.pi, c))
-        for f in (casimir._zero_t_inner(pair, L, phis), casimir._matsubara_block(pair, L, du, theta, np.arange(1, c + 1))):
+        for f in (
+            casimir._zero_t_inner(pair, L, phis),
+            casimir._zero_t_remainder_inner(pair, L, phis),
+            casimir._matsubara_block(pair, L, du, theta, np.arange(1, c + 1)),
+            casimir._matsubara_block(pair, L, du, theta, np.arange(0, c)),
+        ):
             f(nodes)
             tracemalloc.start()
             try:
@@ -975,7 +1094,7 @@ class TestStaticTerm:
     def test_perfect_pair_remainder_is_exactly_zero(self):
         u = np.geomspace(1e-12, 80.0, 200)
         pair = CavityReflection(PERFECT, PERFECT)
-        g_e, g_f = casimir._static_remainder(pair.static_deficit(u / 2e-6), u)
+        g_e, g_f = casimir._remainder_kernels(pair.static_deficit(u / 2e-6), 0.0, u, Scratch())
         assert np.all(g_e == 0.0) and np.all(g_f == 0.0)
 
     @pytest.mark.parametrize("plasma_wavelength", [1e-9, 30e-9])
@@ -998,7 +1117,7 @@ class TestStaticTerm:
         casimir._per_area(pair, L, 300.0)
         static = results[0]
         assert static.converged
-        assert (static.panels, static.evaluations) == (casimir._STATIC_DEPTH + 1, 84)
+        assert (static.panels, static.evaluations) == (casimir._REMAINDER_DEPTH + 1, 84)
 
     @pytest.mark.parametrize(
         "L, partner_perfect",
@@ -1060,18 +1179,28 @@ class TestUCut:
         assert tail.converged
         return float(np.max(np.abs(tail.value) / np.abs(head + tail.value)))
 
+    @staticmethod
+    def remainder_past_cut(f, perfect):
+        """Largest |Int_U^2U f| / perfect over f's columns: a remainder's
+        share past the cut, which the T = 0 remainder path counts against
+        the closed forms ``perfect``."""
+        tail = adaptive_gauss_legendre(f, casimir._U_SPAN, 2.0 * casimir._U_SPAN, rel_tol=1e-10)
+        assert tail.converged
+        return float(np.max(np.abs(tail.value) / perfect))
+
     @pytest.mark.parametrize("pair", PAIRS.values(), ids=PAIRS.keys())
     def test_share_past_cut_is_within_the_added_estimate(self, pair):
         phis = np.array([1e-3, 0.4, 0.8, 1.2, 1.5, 1.57])
         shares = []
         for L in self.LENGTHS:
             shares.append(self.share_past_cut(casimir._zero_t_inner(pair, L, phis), casimir._ZERO_T_DEPTH))
+            remainder = casimir._zero_t_remainder_inner(pair, L, phis)
+            shares.append(self.remainder_past_cut(remainder, np.repeat(casimir._PERFECT_ZERO_T, phis.size)))
 
-            def static_term(u):
-                g_e, g_f = casimir._static_remainder(pair.static_deficit((0.5 / L) * u), u)
-                return np.stack([u * g_e, u * u * g_f], axis=-1)
-
-            shares.append(self.share_past_cut(static_term, casimir._STATIC_DEPTH, casimir._PERFECT_STATIC))
+            # n = 0 alone: the closed form less the remainder
+            static = casimir._matsubara_block(pair, L, 1.0, 1.0, np.array([0]))
+            static_term = lambda u: -static(u)
+            shares.append(self.share_past_cut(static_term, casimir._REMAINDER_DEPTH, casimir._PERFECT_STATIC))
             for T in self.TEMPERATURES:
                 theta = ThermalState(T).temperature_frequency
                 du = 2.0 * theta * L / C

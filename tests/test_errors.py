@@ -78,9 +78,13 @@ def test_overflowing_result_is_a_domain_error(call, inputs):
     [
         # F(T) and F(0) both underflow to 0, which left eta_T = 0/0
         (CavityConfig.symmetric(1e5, 1e-300, 300.0, GOLD), r"^force underflows to 0 at L=100000.0, A=1e-300$"),
-        # F(T), about 4e-317 N, is subnormal: its relative error would
+        # F(T), about 3.96e-317 N, is subnormal: its relative error would
         # exceed any estimate
-        (CavityConfig.symmetric(1e5, 1e-280, 300.0, GOLD), r"^force underflows to 0 at L=100000.0, A=1e-280$"),
+        (
+            CavityConfig.symmetric(1e5, 1e-280, 300.0, GOLD),
+            r"^force is subnormal at L=100000.0, A=1e-280: 3\.96\d*e-317 lies below "
+            r"the smallest normal float 2\.2250738585072014e-308$",
+        ),
     ],
     ids=["force", "subnormal-force"],
 )
