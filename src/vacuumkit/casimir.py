@@ -45,14 +45,20 @@ column held to the inner tolerance on its own.  Past the cut at 40 no
 column holds more than 4.6e-14 of its integral, and every error estimate
 of a quadrature path adds that share.  It starts, in one integrand call,
 from the dyadic chain of panels toward u = 0 that its refinement always
-reaches, so its bits are those of refining from one panel: of depth 9 for
-the direct T = 0 kernels, 3 for the remainders below, and for each block
-of n >= 1 terms the depth its first term's u_lo sets, 2 to 14
-(``_block_start``).  At T = 0 each refinement step of the outer phi
-quadrature evaluates the phi integrand once, at the 21 nodes of the first
-panel or the 42 of both halves of a bisected one, and so runs one
-u-quadrature with twice as many columns.  The Matsubara sum runs its terms
-in blocks of up to 128, two columns per term, on u = u_n + s, s in
+reaches, so its bits are those of refining from one panel: for the direct
+T = 0 kernels of depth 9 to 17 by L / lambda_p and the pair, 9 for their
+later calls and for perfect pairs, 3 for the remainders below, and for each
+block of n >= 1 terms the depth its first term's u_lo sets, 2 to 14
+(``_block_start``).  At T = 0 the outer phi quadrature starts likewise, on
+the chain toward phi = pi/2 that its refinement reaches below lambda_p, 0
+to 10 deep (``_zero_t_direct_starts``): it evaluates the phi integrand once
+on the 21 nodes of each starting panel, then once per refinement step on
+the 42 of both halves of a bisected panel, and each call runs one
+u-quadrature with two columns per node.  The usual direct solve thus makes
+one call of each integrand.  One u-quadrature then holds the columns that
+phi refined from one panel spreads over several, whose panels they share,
+which moves results in their last bits only.  The Matsubara sum runs its
+terms in blocks of up to 128, two columns per term, on u = u_n + s, s in
 [0, 40]: the first block holds n = 0 too, from depth 3 or deeper, and
 fewer terms stand in a block where its start chain is deeper, so that no
 start mesh holds more values than 128 terms on 84 nodes would.  A sum
@@ -137,9 +143,32 @@ _INNER_REL_TOL = 1e-10
 # BENCH_22.json; the first two measured the same chains with one more
 # panel, [U_SPAN, 2 U_SPAN]).  Starting there keeps every bit of the
 # result and makes one integrand call where the chain took d + 1 serial
-# ones.
+# ones.  ``_ZERO_T_DEPTH`` starts a perfect pair's direct u-quadratures,
+# and those of the phi refinement steps of any pair, which reached depth
+# 10 or more; the first u-quadrature of a direct solve starts deeper, from
+# ``_DIRECT_STARTS``.
 _ZERO_T_DEPTH = 9
 _REMAINDER_DEPTH = 3
+
+# start depths of the direct T = 0 solve (``_zero_t_direct_starts``) by
+# x = L / lambda_p of the pair's larger lambda_p, as (c, steps) for a pair
+# of equal mirrors (True) and for any other (False): the phi chain is
+# floor(log2(c / x)) deep, the first u chain ``_ZERO_T_DEPTH`` plus one
+# for each step at or above x.  Refined from one panel, at 401 ratios x
+# from 1e-3 to 4 and lambda_p of 136 nm and 1 um, phi reached that depth
+# with c up to 1.17 for equal mirrors and up to 0.68 for a plasma mirror
+# facing a perfect one, whose depth is not monotone in x; the first
+# u-quadrature, with phi so started, reached the depth of the steps, each
+# the largest x measured at that depth, rounded down (BENCH_27.json).
+# Unequal plasma pairs take the rule of a plasma mirror facing a perfect
+# one, the limit of a vanishing smaller lambda_p, which started them at or
+# above the reached depths at lambda_p ratios from 1.2 to 100.  Below
+# x = 1e-3, the smallest ratio measured, x counts as 1e-3
+_DIRECT_STARTS = {
+    True: (1.15, (1.47, 0.206, 0.0716, 0.0306, 0.0139, 0.0066, 0.00319, 0.00158)),
+    False: (0.66, (0.730, 0.0863, 0.0243, 0.00795, 0.00276)),
+}
+_DIRECT_MIN_RATIO = 1e-3
 
 _MATSUBARA_TERM_REL = 1e-10
 _MATSUBARA_MAX_TERMS = 1_000_000
@@ -183,8 +212,12 @@ _U_CUT_ERROR = 4.6e-14
 # grows to the largest node-by-column array asked of it: about 65 kB for a
 # 128-term block on 63 nodes, and at most 86 kB for the first block's 128
 # terms on 84 nodes, the largest Matsubara start mesh (32 terms on the 315
-# nodes of depth 14 take 81 kB).  The integrands never run inside one
-# another, so they share names
+# nodes of depth 14 take 81 kB).  The direct T = 0 start meshes are larger
+# where L is far below lambda_p: 378 u-nodes by 231 angles for equal
+# mirrors at L / lambda_p <= 1e-3, 0.7 MB per array, which took the peak
+# RSS of a process making one such solve from 30.7 to 38.1 MB; from
+# L / lambda_p = 0.29 up they are at most 231 by 42, 78 kB.  The
+# integrands never run inside one another, so they share names
 _SCRATCH = Scratch()
 
 FLAG_PLANE_LIMIT = "A_not_much_larger_than_L_squared"
@@ -341,29 +374,32 @@ def _kernels(amplitudes, u, scratch: Scratch):
     """Polarization-summed energy and force kernels at exp(-u) of the loop
     amplitudes ``(r_TE, r_TM)``, arrays of their broadcast shape with u in
     the buffers of ``scratch``, which the next call with it overwrites.
+    The TE terms keep the shape of r_TE and u, which at T = 0 holds no
+    angle, as r_TE depends on kappa alone, and broadcast into the sums.
     exp and log1p, whose vector loops may round otherwise on strided
-    operands, run on contiguous arrays of u's and that shape."""
+    operands, run on contiguous arrays of u's and those shapes."""
     r_te, r_tm = amplitudes
-    shape = np.broadcast(r_te, r_tm, u).shape
     (emu,) = scratch("exp(-u)", u.shape, 1)
     np.negative(u, out=emu)
     np.exp(emu, out=emu)
-    x_te, x_tm, g_e, g_f = scratch("kernels", shape, 4)
-    np.multiply(r_te, emu, out=x_te)
-    np.multiply(r_tm, emu, out=x_tm)
-    # g_e = -(log1p(-x_te) + log1p(-x_tm))
-    np.negative(x_te, out=g_e)
-    np.log1p(g_e, out=g_e)
-    np.negative(x_tm, out=g_f)
-    np.log1p(g_f, out=g_f)
-    np.add(g_e, g_f, out=g_e)
+    # x / (1 - x) and log1p(-x) at x = r e^-u, the latter over x
+    te_e, te_f = scratch("te kernels", np.broadcast(r_te, u).shape, 2)
+    np.multiply(r_te, emu, out=te_e)
+    np.subtract(1.0, te_e, out=te_f)
+    np.divide(te_e, te_f, out=te_f)
+    np.negative(te_e, out=te_e)
+    np.log1p(te_e, out=te_e)
+    g_e, g_f = scratch("kernels", np.broadcast(r_te, r_tm, u).shape, 2)
+    np.multiply(r_tm, emu, out=g_e)
+    np.subtract(1.0, g_e, out=g_f)
+    np.divide(g_e, g_f, out=g_f)
     np.negative(g_e, out=g_e)
-    # g_f = x_te / (1 - x_te) + x_tm / (1 - x_tm), the second term over x_te
-    np.subtract(1.0, x_te, out=g_f)
-    np.divide(x_te, g_f, out=g_f)
-    np.subtract(1.0, x_tm, out=x_te)
-    np.divide(x_tm, x_te, out=x_te)
-    np.add(g_f, x_te, out=g_f)
+    np.log1p(g_e, out=g_e)
+    # g_e = -(log1p(-x_te) + log1p(-x_tm)),
+    # g_f = x_te / (1 - x_te) + x_tm / (1 - x_tm)
+    np.add(te_e, g_e, out=g_e)
+    np.negative(g_e, out=g_e)
+    np.add(te_f, g_f, out=g_f)
     return g_e, g_f
 
 
@@ -516,41 +552,81 @@ def _matsubara_block(cavity: CavityReflection, L: float, du: float, theta: float
     return block
 
 
-def _angular(inner, cavity: CavityReflection, L: float, depth: int):
+def _zero_t_direct_starts(cavity: CavityReflection, L: float):
+    """(phi depth, u depth) that the direct T = 0 solve starts from, no
+    deeper than refinement from one panel reaches: by x = L / lambda_p of
+    the pair's larger lambda_p and whether its mirrors are equal
+    (``_DIRECT_STARTS``).  A perfect pair starts from one phi panel and the
+    u chain of ``_ZERO_T_DEPTH``."""
+    if cavity.both_perfect:
+        return 0, _ZERO_T_DEPTH
+    c, steps = _DIRECT_STARTS[cavity.mirror1 == cavity.mirror2]
+    x = max(L / cavity.max_plasma_wavelength, _DIRECT_MIN_RATIO)
+    return max(0, math.floor(math.log2(c / x))), _ZERO_T_DEPTH + sum(x <= step for step in steps)
+
+
+def _chain_toward(b: float, depth: int):
+    """Edges of the dyadic chain [0, b/2], [b/2, 3b/4], ... toward b, each
+    formed as refinement forms it, the midpoint of the last panel."""
+    points, p = [], 0.0
+    for _ in range(depth):
+        p = 0.5 * (p + b)
+        points.append(p)
+    return points
+
+
+def _angular(inner, cavity: CavityReflection, L: float, depth: int, start=None):
     """(outer QuadratureResult, worst relative inner error) of the double
     quadrature of ``inner(cavity, L, phis)`` over phi in [0, pi/2].
 
-    Each call of the phi-integrand at m nodes (21 or 42, one outer
-    refinement step) runs one batched u-quadrature from the chain of
-    ``depth``: columns j and m + j are the energy and force integrals at
-    phi_j.  A ConvergenceError names the failing angles and L.
+    ``start`` is the (phi depth d, u depth) of the starting call, and
+    (0, ``depth``) where None.  The phi quadrature starts from the d + 1
+    panels of the chain toward pi/2, with edges pi/2 (1 - 2^-k),
+    k = 1 .. d, in one call of the phi-integrand on their 21 (d + 1) nodes,
+    and each outer refinement step calls it on 42.  Each call at m nodes
+    runs one batched u-quadrature, whose columns j and m + j are the energy
+    and force integrals at phi_j: the starting call's from the chain of the
+    start's u depth, every later one's from the chain of ``depth``.  A
+    ConvergenceError names the failing angles, or the outer relative error
+    estimate, and L.
     """
-    worst_inner = [0.0]
+    phi_depth, u_depth = (0, depth) if start is None else start
+    # the u depth of the next call, and the worst relative inner error so far
+    state = [u_depth, 0.0]
 
     def outer_integrand(phis):
         value, error = _u_quadrature(
             inner(cavity, L, phis),
             lambda bad: "phi=" + ", ".join(f"{p:.6f}" for p in phis[bad]),
             f"L={L:.3e} m",
-            depth,
+            state[0],
         )
-        worst_inner[0] = max(worst_inner[0], _relative(error, value))
+        state[:] = depth, max(state[1], _relative(error, value))
         return np.sin(phis)[:, None] * value.reshape(2, phis.size).T
 
-    outer = adaptive_gauss_legendre(outer_integrand, 0.0, 0.5 * math.pi, rel_tol=_OUTER_REL_TOL)
+    b = 0.5 * math.pi
+    outer = adaptive_gauss_legendre(
+        outer_integrand, 0.0, b, rel_tol=_OUTER_REL_TOL, points=_chain_toward(b, phi_depth)
+    )
     if not outer.converged:
         raise ConvergenceError(
-            f"angular quadrature did not converge (L={L:.3e} m, error estimate {outer.error})"
+            f"angular quadrature did not converge (L={L:.3e} m, "
+            f"relative error estimate {_relative(outer.error, outer.value):.3e})"
         )
-    return outer, worst_inner[0]
+    return outer, state[1]
 
 
 def _zero_t_direct_per_area(cavity: CavityReflection, L: float):
-    """(E/A, F/A, relative error) at T = 0 from the pair's own kernels.  The
-    u-quadratures start from the chain of depth ``_ZERO_T_DEPTH``, 210
-    nodes in one call, where refinement from [0, U_SPAN] took 10 serial
-    calls on 399 nodes to reach it."""
-    outer, inner_error = _angular(_zero_t_inner, cavity, L, _ZERO_T_DEPTH)
+    """(E/A, F/A, relative error) at T = 0 from the pair's own kernels.
+
+    Both quadratures start from the chains that refinement from one panel
+    reaches (``_zero_t_direct_starts``), so the usual solve makes one call
+    of the phi integrand, which runs one u-quadrature in one call.  At 1 nm
+    with lambda_p = 1 um that call holds 378 u-nodes by 231 angles, where
+    phi refined from one panel, and u from the chain of ``_ZERO_T_DEPTH``,
+    took 11 serial phi calls and 64 serial u calls.
+    """
+    outer, inner_error = _angular(_zero_t_inner, cavity, L, _ZERO_T_DEPTH, _zero_t_direct_starts(cavity, L))
     j_e, j_f = outer.value
     prefactor = HBAR * C / (32.0 * math.pi**2)
     rel_err = _relative(outer.error, outer.value) + inner_error + _U_CUT_ERROR + _ROUNDOFF_ERROR

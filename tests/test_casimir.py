@@ -2,6 +2,7 @@
 sums, correction sweeps, and the sphere-plane mapping."""
 
 import collections
+import itertools
 import dataclasses
 import math
 import pickle
@@ -44,7 +45,7 @@ from vacuumkit import (
     thermal_susceptibility,
     vacuum_susceptibility,
 )
-from vacuumkit import casimir
+from vacuumkit import casimir, quadrature
 from vacuumkit.casimir import FLAG_FEW_MATSUBARA, FLAG_PLANE_LIMIT, FLAG_PROXIMITY
 from vacuumkit.constants import C, HBAR, K_B
 from vacuumkit.mirrors import Scratch
@@ -593,18 +594,43 @@ class TestThermalPath:
         ids=["gold-1um-0K", "gold-1um-300K", "1um-1nm-0K", "gold-50nm-300K", "gold-20nm-30K", "1um-3nm-3000K"],
     )
     def test_start_mesh_keeps_the_bits_of_refining_from_one_panel(self, monkeypatch, mirror, L, T):
-        # the start mesh is a chain that refinement from [0, U_SPAN] always
+        # each u start mesh is a chain that refinement from [0, U_SPAN]
         # reaches, and the panel sum runs in position order, so the results
-        # are the same bits as without it
+        # are the same bits as without it.  The phi start is left in place:
+        # one u-quadrature then holds every phi column, whose panels refining
+        # phi from one panel would share otherwise (test_phi_start_moves_...)
         pair = CavityReflection(mirror, mirror)
         started = casimir._per_area(pair, L, T)
-        quadrature = casimir.adaptive_gauss_legendre
+        agl = casimir.adaptive_gauss_legendre
 
-        def one_panel(f, a, b, *, points=(), **kwargs):
-            return quadrature(f, a, b, **kwargs)
+        def one_u_panel(f, a, b, *, points=(), **kwargs):
+            return agl(f, a, b, points=() if b == casimir._U_SPAN else points, **kwargs)
 
-        monkeypatch.setattr(casimir, "adaptive_gauss_legendre", one_panel)
+        monkeypatch.setattr(casimir, "adaptive_gauss_legendre", one_u_panel)
         assert started == casimir._per_area(pair, L, T)
+
+    @pytest.mark.parametrize("pair", [
+        CavityReflection(GOLD, GOLD),
+        CavityReflection(PlasmaMirror.from_wavelength(1e-6), PlasmaMirror.from_wavelength(1e-6)),
+        CavityReflection(GOLD, PERFECT),
+        CavityReflection(GOLD, PlasmaMirror.from_wavelength(231e-9)),
+    ], ids=["gold", "1um", "gold-perfect", "gold-231nm"])
+    def test_phi_start_moves_results_by_a_thousandth_of_the_estimate(self, monkeypatch, pair):
+        # starting phi on its chain shares each u-quadrature's panels among
+        # more phi columns than refining phi from one panel does, which
+        # moves last bits only
+        ratios = [1e-3, 0.0074, 0.074, 0.36, 0.56, 0.72]
+        started = [casimir._per_area(pair, x * pair.max_plasma_wavelength, 0.0) for x in ratios]
+        agl = casimir.adaptive_gauss_legendre
+
+        def one_phi_panel(f, a, b, *, points=(), **kwargs):
+            return agl(f, a, b, points=points if b == casimir._U_SPAN else (), **kwargs)
+
+        monkeypatch.setattr(casimir, "adaptive_gauss_legendre", one_phi_panel)
+        for x, (e, f, rel_err, _) in zip(ratios, started):
+            e_ref, f_ref, _, _ = casimir._per_area(pair, x * pair.max_plasma_wavelength, 0.0)
+            assert abs(e / e_ref - 1.0) <= 1e-3 * rel_err, x
+            assert abs(f / f_ref - 1.0) <= 1e-3 * rel_err, x
 
     def test_bit_identical_repeat(self):
         cfg = cavity(1e-6, 300.0, GOLD)
@@ -661,6 +687,107 @@ class TestZeroTemperatureRegime:
         monkeypatch.setattr(casimir, "_INNER_REL_TOL", 1e-20)  # below the round-off floor
         with pytest.raises(ConvergenceError, match=r"phi=\d\.\d{6}.*L=1\.000e-06 m"):
             real_mirror_energy(cavity(1e-6, 0.0, GOLD))
+
+    def test_angular_failure_names_length_and_one_relative_estimate(self, monkeypatch):
+        monkeypatch.setattr(casimir, "_OUTER_REL_TOL", 1e-20)  # below the round-off floor
+        with pytest.raises(ConvergenceError) as info:
+            real_mirror_energy(cavity(50e-9, 0.0, GOLD))
+        message = str(info.value)
+        assert re.fullmatch(
+            r"angular quadrature did not converge \(L=5\.000e-08 m, relative error estimate \d\.\d{3}e-\d\d\)",
+            message,
+        ), message
+        assert 1e-20 < float(message.rsplit(" ", 1)[1].rstrip(")")) < 1e-8
+
+
+class TestZeroTemperatureStarts:
+    """Below lambda_p the direct T = 0 solve starts phi on the chain toward
+    pi/2, and its first u-quadrature on the chain toward 0, that refining
+    each from one panel reaches."""
+
+    # L / lambda_p, with the dips of a plasma mirror facing a perfect one,
+    # where its phi refinement stops a level short of the ratios around
+    RATIOS = np.union1d(np.geomspace(1e-3, 1.0, 80), 0.7 * 0.5 ** np.arange(3, 10))
+
+    @staticmethod
+    def reached(edges, chain):
+        """How many leading edges of ``chain`` refinement produced."""
+        return next((k for k, p in enumerate(chain) if p not in edges), len(chain))
+
+    @pytest.mark.parametrize("kind", ["symmetric", "plasma-perfect", "perfect-plasma", "1.7"])
+    def test_never_deeper_than_refinement_from_one_panel(self, monkeypatch, kind):
+        def pair_of(plasma_wavelength):
+            mirror = PlasmaMirror.from_wavelength(plasma_wavelength)
+            return {
+                "symmetric": CavityReflection(mirror, mirror),
+                "plasma-perfect": CavityReflection(mirror, PERFECT),
+                "perfect-plasma": CavityReflection(PERFECT, mirror),
+                "1.7": CavityReflection(mirror, PlasmaMirror.from_wavelength(1.7 * plasma_wavelength)),
+            }[kind]
+
+        half_pi = 0.5 * math.pi
+        phi_chain = casimir._chain_toward(half_pi, 40)
+        u_chain = [math.ldexp(casimir._U_SPAN, -k) for k in range(1, 40)]
+        # every edge each quadrature evaluates panels between; bisection
+        # only adds edges, so these are its final ones
+        evaluate, edges = quadrature._evaluate_panels, []
+
+        def recording(f, panel_edges):
+            edges[-1].update(np.asarray(panel_edges).tolist())
+            return evaluate(f, panel_edges)
+
+        monkeypatch.setattr(quadrature, "_evaluate_panels", recording)
+        agl = casimir.adaptive_gauss_legendre
+        reached = []  # (b, start depth, reached depth) of each quadrature
+
+        def one_panel_where(drop):
+            def refine(f, a, b, *, points=(), **kwargs):
+                points = () if drop(b) else points
+                edges.append(set())
+                try:
+                    res = agl(f, a, b, points=points, **kwargs)
+                    chain = phi_chain if b == half_pi else u_chain
+                    reached.append((b, len(points), self.reached(edges[-1], chain)))
+                finally:
+                    edges.pop()
+                return res
+
+            return refine
+
+        # the depths depend on L / lambda_p alone; the ratios alternate
+        # between lambda_p of 136 nm and 1 um
+        for x, pair in zip(self.RATIOS, itertools.cycle([pair_of(136e-9), pair_of(1e-6)])):
+            L = float(x * pair.max_plasma_wavelength)
+            phi_depth, u_depth = casimir._zero_t_direct_starts(pair, L)
+            # phi refined from one panel; the u-quadratures started as shipped
+            monkeypatch.setattr(casimir, "adaptive_gauss_legendre", one_panel_where(lambda b: b == half_pi))
+            reached.clear()
+            casimir._zero_t_direct_per_area(pair, L)
+            (phi_reached,) = [r for b, _, r in reached if b == half_pi]
+            assert phi_depth <= phi_reached, (x, phi_depth, phi_reached)
+            # phi started as shipped; every u-quadrature refined from one panel
+            monkeypatch.setattr(casimir, "adaptive_gauss_legendre", one_panel_where(lambda b: b != half_pi))
+            reached.clear()
+            casimir._zero_t_direct_per_area(pair, L)
+            u_reached = [r for b, _, r in reached if b != half_pi]
+            assert u_depth <= u_reached[0], (x, u_depth, u_reached)
+            assert casimir._ZERO_T_DEPTH <= min(u_reached), (x, u_reached)
+
+    @pytest.mark.parametrize("L", [50e-9, 63e-9])
+    def test_gold_takes_one_call_of_each_integrand(self, monkeypatch, L):
+        calls = collections.Counter()
+        agl = casimir.adaptive_gauss_legendre
+
+        def counting(f, a, b, **kwargs):
+            def g(x):
+                calls["phi" if b == 0.5 * math.pi else "u"] += 1
+                return f(x)
+
+            return agl(g, a, b, **kwargs)
+
+        monkeypatch.setattr(casimir, "adaptive_gauss_legendre", counting)
+        casimir._zero_temperature_per_area(CavityReflection(GOLD, GOLD), L)
+        assert calls == {"phi": 1, "u": 1}
 
 
 def remainder_oracle_per_area(L, plasma_wavelengths):
