@@ -91,6 +91,29 @@ ConvergenceError past 1,000,000 terms.  Where T is so small that du
 underflows to 0 or a term is not finite, first in the first block, which
 holds the smallest xi, it raises DomainError naming L and T.
 
+A sum of n_max >= 200 terms that has not stopped by N = ceil(8/du), near
+u = 8, where it would run on to u_n near 25, sums only its head directly,
+through the term N + 6, and the rest in Gregory's end-corrected form
+(Genet, Lambrecht and Reynaud, PRA 62, 012110 (2000)):
+
+    sum_{n >= N} F_n = (1/du) Int_{N du}^{40} F(x) dx + F_N / 2
+                       - sum_{k=1..6} g_k Delta^k F_N,
+
+with g = (1/12, -1/24, 19/720, -3/160, 863/60480, -275/24192) and forward
+differences of the head's terms N .. N + 6.  F(x) is the term continued to
+real n, analytic from x = 8 on (at x = 0 its x^2 ln x term would make the
+integral costly).  One x-quadrature from [a, 2a], [2a, 4a], [4a, 40]
+integrates it, each call running one u-quadrature with its nodes as
+columns (``_gregory_tail``), both to 1e-10 of the sum, kept within 1e-10
+to 1e-8 of the integral.  Its error estimate adds the head's quadrature
+errors, those of F_N .. F_N+6 weighted by their Gregory coefficients, the
+x-quadrature's error over du, the inner u-errors in proportion to the
+tail, the last correction |g_6 Delta^6 F_N|, the share past the u-cut and
+round-off.  Below 200 terms, and wherever the direct stop is met in the
+head, every bit of the direct sum stays.  The head still grows as 8/du,
+so time is not bounded where L T falls below about 1e-8 m K, and the
+term cap is reached near L T = 1.5e-9 m K.
+
 ``_per_area(mirrors, L, T)`` is the single dispatch point: it picks the
 closed form, the perfect-pair series or low-T form, the T = 0 quadrature
 or the Matsubara sum, flags a result with few contributing Matsubara terms
@@ -143,11 +166,12 @@ _INNER_REL_TOL = 1e-10
 # BENCH_22.json; the first two measured the same chains with one more
 # panel, [U_SPAN, 2 U_SPAN]).  Starting there keeps every bit of the
 # result and makes one integrand call where the chain took d + 1 serial
-# ones.  ``_ZERO_T_DEPTH`` starts a perfect pair's direct u-quadratures,
-# and those of the phi refinement steps of any pair, which reached depth
-# 10 or more; the first u-quadrature of a direct solve starts deeper, from
-# ``_DIRECT_STARTS``.
+# ones.  ``_ZERO_T_DEPTH`` starts a perfect pair's direct u-quadratures;
+# the first u-quadrature of any other direct solve starts deeper, from
+# ``_DIRECT_STARTS``, and those of its phi refinement steps from
+# ``_PHI_STEP_DEPTH``, the least depth any of them reached (BENCH_27.json)
 _ZERO_T_DEPTH = 9
+_PHI_STEP_DEPTH = 10
 _REMAINDER_DEPTH = 3
 
 # start depths of the direct T = 0 solve (``_zero_t_direct_starts``) by
@@ -172,6 +196,26 @@ _DIRECT_MIN_RATIO = 1e-3
 
 _MATSUBARA_TERM_REL = 1e-10
 _MATSUBARA_MAX_TERMS = 1_000_000
+# a sum of n_max = floor(U_SPAN / du) >= _GREGORY_MIN_TERMS terms that runs
+# on to N = ceil(_GREGORY_HEAD_U / du) takes its terms from N on in
+# Gregory's form (``_gregory_tail``).  Measured on this code: below 200
+# terms the direct sum was the cheaper, from 200 on the Gregory form, and
+# a head to u_N = 8 held its truncation to 8e-12 where one to u_N = 6 let
+# it reach 5e-11 for 10 % less time (BENCH_28.json)
+_GREGORY_MIN_TERMS = 200
+_GREGORY_HEAD_U = 8.0
+# the loosest tolerance of the tail's quadratures; up to it, refinement of
+# each u-quadrature from one panel still reached the chain it starts from
+_GREGORY_MAX_REL_TOL = 1e-8
+# Gregory's end corrections g_1 .. g_6: sum_{n >= N} F_n =
+# (1/du) Int_{u_N} F dx + F_N / 2 - sum_k g_k Delta^k F_N
+_GREGORY_G = np.array([1 / 12, -1 / 24, 19 / 720, -3 / 160, 863 / 60480, -275 / 24192])
+# Delta^k F_N = sum_j (-1)^(k - j) C(k, j) F_{N + j}: row k, j = 0 .. 6
+_DIFFERENCES = np.array([[(-1) ** (k - j) * math.comb(k, j) for j in range(7)] for k in range(7)], dtype=float)
+# the weights of F_N .. F_{N + 6} in F_N / 2 - sum_k g_k Delta^k F_N, and in
+# the last correction g_6 Delta^6 F_N, which bounds the truncation
+_GREGORY_WEIGHTS = 0.5 * _DIFFERENCES[0] - _GREGORY_G @ _DIFFERENCES[1:]
+_GREGORY_LAST = _GREGORY_G[-1] * _DIFFERENCES[-1]
 # terms per Matsubara block at depth 2, and fewer on deeper start chains
 # (``_block_start``).  The terms of a block share the panels of one
 # u-quadrature, each refined until the worst of them converges, so another
@@ -443,21 +487,23 @@ def _relative(error, value) -> float:
     return float(np.max(error / scale))
 
 
-def _u_quadrature(f, names, context: str, depth: int):
+def _u_quadrature(f, names, context: str, depth: int, rel_tol: float | None = None):
     """(value, absolute error) of every column of f over [0, U_SPAN].
 
     f maps nodes of shape (q,) to values of shape (q, 2c): c energy
     columns, then the c force columns.  Refinement starts from the dyadic
     chain of ``depth``, with edges at U_SPAN 2^-depth, ..., U_SPAN/2, which
-    the caller's kernels always reach.  Each column meets the inner
-    tolerance of its own value, as the quadrature ranks panels per column
-    in units of its own integral of |f|.  A ConvergenceError names the
-    failing column pairs by ``names(mask)`` and adds ``context``.
+    the caller's kernels always reach.  Each column meets ``rel_tol``, by
+    default the inner tolerance, of its own value, as the quadrature ranks
+    panels per column in units of its own integral of |f|.  A
+    ConvergenceError names the failing column pairs by ``names(mask)`` and
+    adds ``context``.
     """
+    rel_tol = _INNER_REL_TOL if rel_tol is None else rel_tol
     points = [math.ldexp(_U_SPAN, -d) for d in range(depth, 0, -1)]
-    res = adaptive_gauss_legendre(f, 0.0, _U_SPAN, rel_tol=_INNER_REL_TOL, points=points)
+    res = adaptive_gauss_legendre(f, 0.0, _U_SPAN, rel_tol=rel_tol, points=points)
     if not res.converged:
-        failing = ~(res.error <= _INNER_REL_TOL * np.abs(res.value)).reshape(2, -1).all(axis=0)  # NaN fails
+        failing = ~(res.error <= rel_tol * np.abs(res.value)).reshape(2, -1).all(axis=0)  # NaN fails
         if failing.any():
             raise ConvergenceError(
                 f"inner u-quadrature did not converge at {names(failing)} "
@@ -626,7 +672,7 @@ def _zero_t_direct_per_area(cavity: CavityReflection, L: float):
     phi refined from one panel, and u from the chain of ``_ZERO_T_DEPTH``,
     took 11 serial phi calls and 64 serial u calls.
     """
-    outer, inner_error = _angular(_zero_t_inner, cavity, L, _ZERO_T_DEPTH, _zero_t_direct_starts(cavity, L))
+    outer, inner_error = _angular(_zero_t_inner, cavity, L, _PHI_STEP_DEPTH, _zero_t_direct_starts(cavity, L))
     j_e, j_f = outer.value
     prefactor = HBAR * C / (32.0 * math.pi**2)
     rel_err = _relative(outer.error, outer.value) + inner_error + _U_CUT_ERROR + _ROUNDOFF_ERROR
@@ -686,8 +732,43 @@ def _block_start(u_lo: float):
     return depth, min(_BLOCK_TERMS, 4 * _BLOCK_TERMS // (depth + 2))
 
 
+def _gregory_tail(cavity: CavityReflection, L: float, a: float, rel_tol: float, context: str):
+    """(value, absolute error, worst relative inner error) of Int F(x) dx
+    over x in [a, U_SPAN] to ``rel_tol``, energy then force, where F(x) is
+    the Matsubara term at u_n = x, xi_n = x c / 2L, continued to real n.
+
+    F is the block integrand at spacing 1, so each call of the x-integrand
+    at m nodes runs one u-quadrature of m columns, each to ``rel_tol`` too,
+    from the chain its smallest x sets (``_block_start``).  The
+    x-quadrature starts from the panels [a, 2a], [2a, 4a], [4a, U_SPAN],
+    where F is analytic.  A ConvergenceError names L, T and the x-range.
+    """
+    theta = C / (2.0 * L)
+    inner_error = [0.0]
+
+    def integrand(x):
+        value, error = _u_quadrature(
+            _matsubara_block(cavity, L, 1.0, theta, x),
+            lambda bad: "x=" + ", ".join(f"{v:.6f}" for v in x[bad]),
+            context,
+            _block_start(float(x.min()))[0],
+            rel_tol,
+        )
+        inner_error[0] = max(inner_error[0], _relative(error, value))
+        return value.reshape(2, x.size).T
+
+    res = adaptive_gauss_legendre(integrand, a, _U_SPAN, rel_tol=rel_tol, points=(2.0 * a, 4.0 * a))
+    if not res.converged:
+        raise ConvergenceError(
+            f"Matsubara tail integral over x in [{a:.6g}, {_U_SPAN:g}] did not converge "
+            f"({context}, relative error estimate {_relative(res.error, res.value):.3e})"
+        )
+    return res.value, res.error, inner_error[0]
+
+
 def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
-    """(E/A, F/A, relative error, contributing terms) of the Matsubara sum.
+    """(E/A, F/A, relative error, contributing terms, path) of the Matsubara
+    sum.
 
     The first block holds n = 0 and the block of terms from n = 1, in one
     u-quadrature from the chain of depth ``_REMAINDER_DEPTH`` or the deeper
@@ -697,12 +778,20 @@ def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
     (``_block_start``).  Where du is small the first blocks are short and
     deep, the later ones 128 terms at depth 2.  n = 0 is the perfect
     pair's term in closed form less the quadrature of its smooth
-    remainder.  The relative error adds the quadrature errors of the
-    summed terms, the tail bound, the share past the u-cut and the
-    round-off of assembling the result.  Contributing terms are counted
-    over the blocks that hold the first ``_FEW_TERMS_WARN`` terms, exact
-    below that as terms fall with n.  DomainError names L and T where du
-    underflows to 0 or a term is not finite, first in the first block,
+    remainder.  The blocks run until the tail bound stops the sum, or,
+    where n_max >= ``_GREGORY_MIN_TERMS``, through the one that holds the
+    term N - 1 with N = ceil(``_GREGORY_HEAD_U`` / du); there, if the sum
+    has not stopped, the terms from N on are the tail integral over x in
+    [N du, U_SPAN] divided by du plus Gregory's end corrections from
+    F_N .. F_N+6, the last of which one more block holds if need be.  The
+    relative error adds the quadrature errors of the summed terms, those of
+    F_N .. F_N+6 weighted by their share of the corrections, the tail
+    integral's error over du and its inner errors in proportion, the tail
+    bound or the last correction g_6 Delta^6 F_N, the share past the u-cut
+    and the round-off of assembling the result.  Contributing terms are
+    counted over the blocks that hold the first ``_FEW_TERMS_WARN`` terms,
+    exact below that as terms fall with n.  DomainError names L and T where
+    du underflows to 0 or a term is not finite, first in the first block,
     which holds the smallest xi.
     """
     theta = ThermalState(temperature).temperature_frequency
@@ -713,12 +802,18 @@ def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
         raise DomainError(f"{too_cold}: the Matsubara spacing 2 xi_1 L / c underflows to 0")
     # later terms start past the u-cut; a float, as it may exceed any integer type
     n_max = _U_SPAN // du
+    # the first term N of a Gregory tail, whose blocks run through the one
+    # that holds N - 1
+    head = math.ceil(_GREGORY_HEAD_U / du) if n_max >= _GREGORY_MIN_TERMS else None
+    n_last = n_max if head is None else head - 1
 
+    path = "Matsubara sum"
     tail = np.zeros(2)
+    stopped = False
     n_lo = 0
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            while n_lo <= n_max:
+            while n_lo <= n_last:
                 if n_lo > _MATSUBARA_MAX_TERMS:
                     raise ConvergenceError(f"Matsubara sum exceeded {_MATSUBARA_MAX_TERMS} terms ({context})")
                 if n_lo:
@@ -746,21 +841,57 @@ def _matsubara_per_area(cavity: CavityReflection, L: float, temperature: float):
                 bound = (n_max - n) * np.abs(terms)
                 stop = np.flatnonzero(np.all(bound <= _MATSUBARA_TERM_REL * np.abs(running), axis=0))
                 last = stop[0] if stop.size else n.size - 1
+                if head is not None and n[-1] >= head - 1:
+                    # the sum of the terms below N and its error, and the
+                    # terms N .. N + 6 of the differences this block holds
+                    k = head - n[0]
+                    head_totals, head_error = running[:, k - 1], quad_err + error[:, :k].sum(axis=1)
+                    window, window_error = terms[:, k : k + 7].copy(), error[:, k : k + 7].copy()
                 totals = running[:, last]
                 quad_err = quad_err + error[:, : last + 1].sum(axis=1)
                 if mags.size < _FEW_TERMS_WARN:
                     mags = np.concatenate([mags, np.max(np.abs(terms[:, : last + 1]), axis=0)])
                 if stop.size:
                     tail = bound[:, last]
+                    stopped = True
                     break
                 n_lo += size
+            if head is not None and not stopped:
+                path = f"Matsubara sum, Gregory tail from n={head}"
+                if window.shape[1] < 7:
+                    # the rest of them, in one more block
+                    n = np.arange(head + window.shape[1], head + 7)
+                    value, error = _u_quadrature(
+                        _matsubara_block(cavity, L, du, theta, n), names, context, _block_start(n[0] * du)[0]
+                    )
+                    window = np.concatenate([window, value.reshape(2, -1)], axis=1)
+                    window_error = np.concatenate([window_error, error.reshape(2, -1)], axis=1)
+                # the integral to 1e-10 of the sum, as the direct sum's tail
+                # bound holds it: the integral is at most du (n_max - N + 1) |F_N|,
+                # as terms fall with n, and the head is less than the sum
+                share = np.min(np.abs(head_totals) / ((n_max - head + 1) * np.abs(window[:, 0])))
+                rel_tol = float(np.clip(_MATSUBARA_TERM_REL * share, _INNER_REL_TOL, _GREGORY_MAX_REL_TOL))
+                integral, integral_error, inner_error = _gregory_tail(cavity, L, head * du, rel_tol, context)
+                totals = head_totals + integral / du + window @ _GREGORY_WEIGHTS
+                quad_err = (
+                    head_error
+                    + window_error @ np.abs(_GREGORY_WEIGHTS)
+                    + (integral_error + inner_error * np.abs(integral)) / du
+                )
+                tail = np.abs(window @ _GREGORY_LAST)
     except FloatingPointError:
         raise DomainError(f"{too_cold}: the Matsubara terms are not finite") from None
 
     threshold = _MATSUBARA_TERM_REL * max(float(np.max(np.abs(totals))), 1e-300)
     prefactor = K_B * temperature / (8.0 * math.pi)
     rel_err = _relative(quad_err + tail, totals) + _U_CUT_ERROR + _ROUNDOFF_ERROR
-    return prefactor * totals[0] / L**2, prefactor * totals[1] / L**3, rel_err, int(np.sum(mags >= threshold))
+    return (
+        prefactor * totals[0] / L**2,
+        prefactor * totals[1] / L**3,
+        rel_err,
+        int(np.sum(mags >= threshold)),
+        path,
+    )
 
 
 def _perfect_thermal_per_area(L: float, temperature: float):
@@ -848,8 +979,7 @@ def _per_area(mirrors: CavityReflection, L: float, temperature: float):
     elif mirrors.both_perfect:
         e_per_area, f_per_area, rel_err, few, path = _perfect_thermal_per_area(L, temperature)
     else:
-        path = "Matsubara sum"
-        e_per_area, f_per_area, rel_err, contributing = _matsubara_per_area(mirrors, L, temperature)
+        e_per_area, f_per_area, rel_err, contributing, path = _matsubara_per_area(mirrors, L, temperature)
         few = contributing < _FEW_TERMS_WARN
     if rel_err > _ERROR_CEILING:
         raise ConvergenceError(

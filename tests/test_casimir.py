@@ -598,13 +598,15 @@ class TestThermalPath:
         # reaches, and the panel sum runs in position order, so the results
         # are the same bits as without it.  The phi start is left in place:
         # one u-quadrature then holds every phi column, whose panels refining
-        # phi from one panel would share otherwise (test_phi_start_moves_...)
+        # phi from one panel would share otherwise (test_phi_start_moves_...).
+        # So does the x-quadrature of a Gregory tail, over [8, U_SPAN]: the
+        # u-quadratures are those over [0, U_SPAN]
         pair = CavityReflection(mirror, mirror)
         started = casimir._per_area(pair, L, T)
         agl = casimir.adaptive_gauss_legendre
 
         def one_u_panel(f, a, b, *, points=(), **kwargs):
-            return agl(f, a, b, points=() if b == casimir._U_SPAN else points, **kwargs)
+            return agl(f, a, b, points=() if (a, b) == (0.0, casimir._U_SPAN) else points, **kwargs)
 
         monkeypatch.setattr(casimir, "adaptive_gauss_legendre", one_u_panel)
         assert started == casimir._per_area(pair, L, T)
@@ -771,7 +773,8 @@ class TestZeroTemperatureStarts:
             casimir._zero_t_direct_per_area(pair, L)
             u_reached = [r for b, _, r in reached if b != half_pi]
             assert u_depth <= u_reached[0], (x, u_depth, u_reached)
-            assert casimir._ZERO_T_DEPTH <= min(u_reached), (x, u_reached)
+            # and those of the phi refinement steps
+            assert casimir._PHI_STEP_DEPTH <= min(u_reached[1:], default=math.inf), (x, u_reached)
 
     @pytest.mark.parametrize("L", [50e-9, 63e-9])
     def test_gold_takes_one_call_of_each_integrand(self, monkeypatch, L):
@@ -938,7 +941,7 @@ class TestMatsubaraSum:
         # du = 5.5e-4 and 1.1e-3: the tail runs over thousands of terms
         L = 0.1e-6
         pair = CavityReflection(PERFECT, PERFECT)
-        e_per_area, f_per_area, rel_err, _ = casimir._matsubara_per_area(pair, L, T)
+        e_per_area, f_per_area, rel_err, _, _ = casimir._matsubara_per_area(pair, L, T)
         e_ref, f_ref = lambert_perfect_per_area(L, T)
         assert abs(e_per_area / e_ref - 1.0) <= rel_err
         assert abs(f_per_area / f_ref - 1.0) <= rel_err
@@ -950,7 +953,7 @@ class TestMatsubaraSum:
     )
     def test_against_per_term_loop(self, mirror, L, T):
         pair = CavityReflection(mirror, mirror)
-        e_per_area, f_per_area, rel_err, _ = casimir._matsubara_per_area(pair, L, T)
+        e_per_area, f_per_area, rel_err, _, _ = casimir._matsubara_per_area(pair, L, T)
         e_ref, f_ref, ref_err = matsubara_per_term_loop(pair, L, T)
         assert e_per_area == pytest.approx(e_ref, rel=rel_err + ref_err)
         assert f_per_area == pytest.approx(f_ref, rel=rel_err + ref_err)
@@ -1004,9 +1007,11 @@ class TestMatsubaraSum:
     # refinement reaches, so a serial call is left only where a block goes
     # one level deeper; from depth 2 the same sums took [6, 2, 1], [4] and
     # [2] calls.  A rule in u_lo alone that started deeper here would start
-    # deeper than refinement from [0, U_SPAN] reaches elsewhere
+    # deeper than refinement from [0, U_SPAN] reaches elsewhere.  The sum at
+    # 50 nm, of 486 terms, stays on the direct path, without a Gregory tail
     @pytest.mark.parametrize("L, calls", [(50e-9, [2, 2, 2]), (0.3e-6, [2]), (1e-6, [1])])
     def test_blocks_start_from_the_chain_of_their_first_term(self, monkeypatch, L, calls):
+        monkeypatch.setattr(casimir, "_GREGORY_MIN_TERMS", math.inf)
         blocks = self.record_blocks(monkeypatch)
         thermal_force(cavity(L, 300.0, GOLD))
         assert [len(nodes) for _, nodes in blocks] == calls
@@ -1067,6 +1072,111 @@ class TestMatsubaraSum:
         e_perfect, f_perfect, _, _, _ = casimir._perfect_thermal_per_area(0.1, T)
         assert e_per_area == pytest.approx(e_perfect, rel=1e-7)
         assert f_per_area == pytest.approx(f_perfect, rel=1e-7)
+
+
+def spacing_length(du, T):
+    """L at which the Matsubara terms at T are du = 2 xi_1 L / c apart."""
+    return du * HBAR * C / (4.0 * math.pi * K_B * T)
+
+
+def matsubara_path(pair, L, T, monkeypatch, min_terms, term_rel=None):
+    """_matsubara_per_area with the Gregory switch at ``min_terms`` terms,
+    and the tail bound at ``term_rel`` where given."""
+    with monkeypatch.context() as patch:
+        patch.setattr(casimir, "_GREGORY_MIN_TERMS", min_terms)
+        if term_rel is not None:
+            patch.setattr(casimir, "_MATSUBARA_TERM_REL", term_rel)
+        return casimir._matsubara_per_area(pair, L, T)
+
+
+class TestGregoryTail:
+    PAIRS = {
+        "gold": CavityReflection(GOLD, GOLD),
+        "gold-perfect": CavityReflection(GOLD, PERFECT),
+        "perfect-gold": CavityReflection(PERFECT, GOLD),
+        "gold-231nm": CavityReflection(GOLD, PlasmaMirror.from_wavelength(231e-9)),
+    }
+
+    # n_max = floor(40 / du) from 200 to 1000 terms
+    @pytest.mark.parametrize("T", [300.0, 20.0])
+    @pytest.mark.parametrize("n_max", [200, 300, 500, 1000])
+    @pytest.mark.parametrize("pair", ["gold", "gold-perfect", "perfect-gold", "gold-231nm"])
+    def test_against_the_direct_sum(self, monkeypatch, pair, n_max, T):
+        # the direct sum with its tail bound at 1e-15 as the reference
+        pair = self.PAIRS[pair]
+        L = spacing_length(40.0 / (n_max + 0.5), T)
+        e, f, rel_err, _, path = casimir._matsubara_per_area(pair, L, T)
+        assert path.startswith("Matsubara sum, Gregory tail from n=")
+        e_ref, f_ref, _, _, ref_path = matsubara_path(pair, L, T, monkeypatch, math.inf, 1e-15)
+        assert ref_path == "Matsubara sum"
+        assert abs(e / e_ref - 1.0) <= rel_err <= 1e-9
+        assert abs(f / f_ref - 1.0) <= rel_err
+
+    @pytest.mark.parametrize("T", [300.0, 20.0])
+    @pytest.mark.parametrize("n_max", [150, 199, 200, 250])
+    def test_both_sides_of_the_switch_agree(self, monkeypatch, n_max, T):
+        # each result against the other path at the same point: below the
+        # switch with the tail forced, above it with the direct sum forced
+        pair = CavityReflection(GOLD, GOLD)
+        L = spacing_length(40.0 / (n_max + 0.5), T)
+        e, f, rel_err, _, path = casimir._matsubara_per_area(pair, L, T)
+        gregory = n_max >= casimir._GREGORY_MIN_TERMS
+        assert ("Gregory" in path) == gregory
+        e_other, f_other, _, _, other = matsubara_path(pair, L, T, monkeypatch, math.inf if gregory else 0)
+        assert other != path
+        assert abs(e / e_other - 1.0) <= rel_err
+        assert abs(f / f_other - 1.0) <= rel_err
+
+    def test_stop_inside_the_head_keeps_the_direct_bits(self, monkeypatch):
+        # a 1 um pair at 60 nm and 300 K: 404 terms below the cut, but terms
+        # fall fast enough that the tail bound stops the sum before N = 81
+        pair = symmetric_pair(1e-6)
+        result = casimir._matsubara_per_area(pair, 60e-9, 300.0)
+        assert result[4] == "Matsubara sum"
+        assert result == matsubara_path(pair, 60e-9, 300.0, monkeypatch, math.inf)
+
+    # du from 5.5e-4 (72,727 terms below the cut, N = 14,546) to 0.2, where
+    # n_max = 199 keeps the direct sum
+    @pytest.mark.parametrize("du", [5.5e-4, 3e-3, 0.02, 0.05, 0.2])
+    def test_perfect_pair_against_the_lambert_series(self, du):
+        pair = CavityReflection(PERFECT, PERFECT)
+        L = 0.1e-6
+        T = du * HBAR * C / (4.0 * math.pi * K_B * L)
+        e, f, rel_err, _, path = casimir._matsubara_per_area(pair, L, T)
+        assert ("Gregory" in path) == (du < 0.2)
+        e_ref, f_ref = lambert_perfect_per_area(L, T)
+        assert abs(e / e_ref - 1.0) <= rel_err <= 1e-9
+        assert abs(f / f_ref - 1.0) <= rel_err
+
+    def test_block_count_for_gold_at_1um_and_1K(self, monkeypatch):
+        # du = 5.5e-3, 7,285 terms below the cut.  The head runs through
+        # the block that holds N - 1 = 1,457, the 13th, and one more block
+        # holds the term N + 6 = 1,464 of the differences.  The tail
+        # integral adds one u-quadrature on the 63 x-nodes of its start
+        # mesh, in one call.  The direct sum took 44 blocks
+        blocks = TestMatsubaraSum.record_blocks(monkeypatch)
+        *_, path = casimir._matsubara_per_area(CavityReflection(GOLD, GOLD), 1e-6, 1.0)
+        assert path == "Matsubara sum, Gregory tail from n=1458"
+        assert len(blocks) == 15
+        assert blocks[-2:] == [(1, [63]), (63, [63])]
+
+    def test_ceiling_error_names_the_gregory_path(self, monkeypatch):
+        monkeypatch.setattr(casimir, "_ERROR_CEILING", -1.0)  # below every estimate
+        context = r"\(Matsubara sum, Gregory tail from n=1458, L=1\.000e-06 m, T=1\.0 K\)"
+        with pytest.raises(ConvergenceError, match="above ceiling .*" + context):
+            thermal_force(cavity(1e-6, 1.0, GOLD))
+
+    def test_unconverged_tail_integral_names_length_temperature_and_range(self, monkeypatch):
+        agl = casimir.adaptive_gauss_legendre
+
+        def x_fails(f, a, b, **kwargs):
+            res = agl(f, a, b, **kwargs)
+            return res if a == 0.0 else dataclasses.replace(res, converged=False)
+
+        monkeypatch.setattr(casimir, "adaptive_gauss_legendre", x_fails)
+        text = r"tail integral over x in \[8\.00118, 40\] did not converge \(L=1\.000e-06 m, T=1\.0 K"
+        with pytest.raises(ConvergenceError, match=text):
+            thermal_force(cavity(1e-6, 1.0, GOLD))
 
 
 def symmetric_pair(plasma_wavelength):
@@ -1255,7 +1365,7 @@ class TestStaticTerm:
         # du = 200 puts every term n >= 1 past the u-cut: the sum is its n = 0 term
         T = 200.0 * HBAR * C / (4.0 * math.pi * K_B * L)
         pair = CavityReflection(GOLD, PERFECT if partner_perfect else GOLD)
-        e_per_area, f_per_area, rel_err, contributing = casimir._matsubara_per_area(pair, L, T)
+        e_per_area, f_per_area, rel_err, contributing, _ = casimir._matsubara_per_area(pair, L, T)
         assert contributing == 1
         i_e, i_f = mpmath_static_integrals(L, 136e-9, partner_perfect)
         half_prefactor = 0.5 * K_B * T / (8.0 * math.pi)
@@ -1358,7 +1468,7 @@ class TestPerfectPairThermalPath:
     def test_against_matsubara_sum(self, L, T):
         pair = CavityReflection(PERFECT, PERFECT)
         e_per_area, f_per_area, rel_err, _ = casimir._per_area(pair, L, T)
-        e_ref, f_ref, ref_err, _ = casimir._matsubara_per_area(pair, L, T)
+        e_ref, f_ref, ref_err, _, _ = casimir._matsubara_per_area(pair, L, T)
         assert e_per_area == pytest.approx(e_ref, rel=rel_err + ref_err)
         assert f_per_area == pytest.approx(f_ref, rel=rel_err + ref_err)
 
