@@ -44,12 +44,17 @@ vector-valued quadrature over u in [0, 40], one column per integral, each
 column held to the inner tolerance on its own.  Past the cut at 40 no
 column holds more than 4.6e-14 of its integral, and every error estimate
 of a quadrature path adds that share.  It starts, in one integrand call,
-from the dyadic chain of panels toward u = 0 that its refinement always
-reaches, so its bits are those of refining from one panel: for the direct
-T = 0 kernels of depth 9 to 17 by L / lambda_p and the pair, 9 for their
-later calls and for perfect pairs, 3 for the remainders below, and for each
-block of n >= 1 terms the depth its first term's u_lo sets, 2 to 14
-(``_block_start``).  At T = 0 the outer phi quadrature starts likewise, on
+from the dyadic chain of panels toward u = 0 that its refinement reaches,
+so its bits are those of refining from one panel.  The first call of a
+direct T = 0 solve starts 10 to 17 deep for equal mirrors and 9 to 14 for
+other pairs, by L / lambda_p, and 9 for perfect pairs; its later calls
+start at 10, the remainders below at 3, and each block of n >= 1 terms at
+the depth its first term's u_lo sets, 2 to 14 (``_block_start``).  A few
+measured blocks start deeper than that refinement ends, and keep their
+accuracy but not those bits: of a nearly transparent plasma mirror
+(L < 1e-3 lambda_p) facing a perfect one, of a symmetric lambda_p = 1 nm
+pair at 0.1 nm and 300 K, and of lambda_p = 136 nm facing 231 nm at
+16.6 nm and 20 K.  At T = 0 the outer phi quadrature starts likewise, on
 the chain toward phi = pi/2 that its refinement reaches below lambda_p, 0
 to 10 deep (``_zero_t_direct_starts``): it evaluates the phi integrand once
 on the 21 nodes of each starting panel, then once per refinement step on
@@ -121,12 +126,12 @@ and raises ConvergenceError, naming the path, L and T, above the error
 ceiling.  Every public operation, the sweep and the sphere-plane mapping
 are built on it.
 
-The T = 0 and Matsubara integrands (``_zero_t_inner``,
-``_zero_t_remainder_inner``, ``_matsubara_block``) evaluate the
-amplitudes or deficits, kernels and their own values into buffers that
-each thread keeps from call to call (``_SCRATCH``), with the ufuncs and
-operand grouping of the expressions they stand for, so no call allocates a
-full-size array and the bits are those of a fresh evaluation.
+The T = 0 and Matsubara integrands (``_zero_t_inner``, one for both T = 0
+paths with their kernel step as its argument, and ``_matsubara_block``)
+evaluate the amplitudes or deficits, kernels and their own values into
+buffers that each thread keeps from call to call (``_SCRATCH``), with the
+ufuncs and operand grouping of the expressions they stand for, so no call
+allocates a full-size array and the bits are those of a fresh evaluation.
 
 All quadratures and sums run in a fixed order; identical inputs give
 bit-identical results, also with the engine called from several threads
@@ -165,11 +170,12 @@ _INNER_REL_TOL = 1e-10
 # depth ``_block_start`` gives (BENCH_18.json, BENCH_21.json and
 # BENCH_22.json; the first two measured the same chains with one more
 # panel, [U_SPAN, 2 U_SPAN]).  Starting there keeps every bit of the
-# result and makes one integrand call where the chain took d + 1 serial
-# ones.  ``_ZERO_T_DEPTH`` starts a perfect pair's direct u-quadratures;
-# the first u-quadrature of any other direct solve starts deeper, from
-# ``_DIRECT_STARTS``, and those of its phi refinement steps from
-# ``_PHI_STEP_DEPTH``, the least depth any of them reached (BENCH_27.json)
+# result, but in the few blocks ``_block_start`` names, and makes one
+# integrand call where the chain took d + 1 serial ones.  ``_ZERO_T_DEPTH``
+# starts a perfect pair's direct u-quadratures; the first u-quadrature of
+# any other direct solve starts deeper, from ``_DIRECT_STARTS``, and those
+# of its phi refinement steps from ``_PHI_STEP_DEPTH``, the least depth any
+# of them reached (BENCH_27.json)
 _ZERO_T_DEPTH = 9
 _PHI_STEP_DEPTH = 10
 _REMAINDER_DEPTH = 3
@@ -426,19 +432,15 @@ def _kernels(amplitudes, u, scratch: Scratch):
     (emu,) = scratch("exp(-u)", u.shape, 1)
     np.negative(u, out=emu)
     np.exp(emu, out=emu)
-    # x / (1 - x) and log1p(-x) at x = r e^-u, the latter over x
     te_e, te_f = scratch("te kernels", np.broadcast(r_te, u).shape, 2)
-    np.multiply(r_te, emu, out=te_e)
-    np.subtract(1.0, te_e, out=te_f)
-    np.divide(te_e, te_f, out=te_f)
-    np.negative(te_e, out=te_e)
-    np.log1p(te_e, out=te_e)
     g_e, g_f = scratch("kernels", np.broadcast(r_te, r_tm, u).shape, 2)
-    np.multiply(r_tm, emu, out=g_e)
-    np.subtract(1.0, g_e, out=g_f)
-    np.divide(g_e, g_f, out=g_f)
-    np.negative(g_e, out=g_e)
-    np.log1p(g_e, out=g_e)
+    # x / (1 - x) and log1p(-x) at x = r e^-u, the latter over x
+    for r, e, f in ((r_te, te_e, te_f), (r_tm, g_e, g_f)):
+        np.multiply(r, emu, out=e)
+        np.subtract(1.0, e, out=f)
+        np.divide(e, f, out=f)
+        np.negative(e, out=e)
+        np.log1p(e, out=e)
     # g_e = -(log1p(-x_te) + log1p(-x_tm)),
     # g_f = x_te / (1 - x_te) + x_tm / (1 - x_tm)
     np.add(te_e, g_e, out=g_e)
@@ -480,6 +482,17 @@ def _remainder_kernels(d_te, d_tm, u, scratch: Scratch):
     return r_e, r_f
 
 
+def _loop_kernels(cavity: CavityReflection, xi, kappa, u, scratch: Scratch):
+    """``_kernels`` of the pair's loop amplitudes at xi and kappa."""
+    return _kernels(cavity.amplitude_imaginary(xi, kappa, scratch), u, scratch)
+
+
+def _deficit_kernels(cavity: CavityReflection, xi, kappa, u, scratch: Scratch):
+    """``_remainder_kernels`` of the pair's loop deficits at xi and kappa:
+    the static TE deficit, r_TE depending on kappa alone, and the TM one."""
+    return _remainder_kernels(cavity.static_deficit(kappa), cavity.tm_deficit(xi, kappa, scratch), u, scratch)
+
+
 def _relative(error, value) -> float:
     """Largest error / |value| over components; a zero value counts as 1."""
     scale = np.abs(value)
@@ -512,11 +525,13 @@ def _u_quadrature(f, names, context: str, depth: int, rel_tol: float | None = No
     return res.value, res.error
 
 
-def _zero_t_inner(cavity: CavityReflection, L: float, phis):
+def _zero_t_inner(kernels, cavity: CavityReflection, L: float, phis):
     """The T = 0 u-integrand at the m angles ``phis``: nodes u of shape (q,)
-    to the (q, 2m) values u^2 G_E and u^3 G_F, energy columns first.  Every
-    array of q m elements is a buffer of this thread's scratch, the result
-    too, which the next call overwrites."""
+    to the (q, 2m) values u^2 K_E and u^3 K_F, energy columns first, of the
+    kernel step ``kernels(cavity, xi, kappa, u, scratch)``: the pair's own
+    kernels G (``_loop_kernels``) or the perfect pair's less the pair's
+    (``_deficit_kernels``).  Every array of q m elements is a buffer of this
+    thread's scratch, the result too, which the next call overwrites."""
     xi_scale = (0.5 * C / L) * np.cos(phis)
     m = phis.size
 
@@ -528,39 +543,11 @@ def _zero_t_inner(cavity: CavityReflection, L: float, phis):
         uc = u[:, None]
         (xi,) = scratch("grid", (u.size, m), 1)
         np.multiply(xi_scale, uc, out=xi)
-        g_e, g_f = _kernels(cavity.amplitude_imaginary(xi, (0.5 / L) * uc, scratch), uc, scratch)
+        k_e, k_f = kernels(cavity, xi, (0.5 / L) * uc, uc, scratch)
         u2 = uc * uc
         (out,) = scratch("integrand", (u.size, 2 * m), 1)
-        np.multiply(u2, g_e, out=out[:, :m])
-        np.multiply(u2 * uc, g_f, out=out[:, m:])
-        return out
-
-    return inner
-
-
-def _zero_t_remainder_inner(cavity: CavityReflection, L: float, phis):
-    """The T = 0 remainder's u-integrand at the m angles ``phis``: nodes u
-    of shape (q,) to the (q, 2m) values u^2 R_E and u^3 R_F of the perfect
-    pair's kernels less the pair's (``_remainder_kernels``), energy columns
-    first.  Only the TM deficit is formed on the (u, phi) grid, r_TE
-    depending on kappa = u / 2L alone.  Every array of q m elements is a
-    buffer of this thread's scratch, the result too, which the next call
-    overwrites."""
-    xi_scale = (0.5 * C / L) * np.cos(phis)
-    m = phis.size
-
-    def inner(u):
-        scratch = _SCRATCH
-        uc = u[:, None]
-        kappa = (0.5 / L) * uc
-        (xi,) = scratch("grid", (u.size, m), 1)
-        np.multiply(xi_scale, uc, out=xi)
-        d_tm = cavity.tm_deficit(xi, kappa, scratch)
-        r_e, r_f = _remainder_kernels(cavity.static_deficit(kappa), d_tm, uc, scratch)
-        u2 = uc * uc
-        (out,) = scratch("integrand", (u.size, 2 * m), 1)
-        np.multiply(u2, r_e, out=out[:, :m])
-        np.multiply(u2 * uc, r_f, out=out[:, m:])
+        np.multiply(u2, k_e, out=out[:, :m])
+        np.multiply(u2 * uc, k_f, out=out[:, m:])
         return out
 
     return inner
@@ -589,7 +576,7 @@ def _matsubara_block(cavity: CavityReflection, L: float, du: float, theta: float
             u, kappa = scratch("grid", (s.size, c - static), 2)
             np.add(u_n, s[:, None], out=u)
             np.multiply(0.5 / L, u, out=kappa)
-            g_e, g_f = _kernels(cavity.amplitude_imaginary(xi, kappa, scratch), u, scratch)
+            g_e, g_f = _loop_kernels(cavity, xi, kappa, u, scratch)
             np.multiply(u, g_e, out=out[:, static:c])
             u2 = np.multiply(u, u, out=g_e)
             np.multiply(u2, g_f, out=out[:, c + static :])
@@ -621,28 +608,28 @@ def _chain_toward(b: float, depth: int):
     return points
 
 
-def _angular(inner, cavity: CavityReflection, L: float, depth: int, start=None):
+def _angular(kernels, cavity: CavityReflection, L: float, start, depth: int):
     """(outer QuadratureResult, worst relative inner error) of the double
-    quadrature of ``inner(cavity, L, phis)`` over phi in [0, pi/2].
+    quadrature of ``_zero_t_inner(kernels, cavity, L, phis)`` over phi in
+    [0, pi/2].
 
-    ``start`` is the (phi depth d, u depth) of the starting call, and
-    (0, ``depth``) where None.  The phi quadrature starts from the d + 1
-    panels of the chain toward pi/2, with edges pi/2 (1 - 2^-k),
-    k = 1 .. d, in one call of the phi-integrand on their 21 (d + 1) nodes,
-    and each outer refinement step calls it on 42.  Each call at m nodes
-    runs one batched u-quadrature, whose columns j and m + j are the energy
-    and force integrals at phi_j: the starting call's from the chain of the
-    start's u depth, every later one's from the chain of ``depth``.  A
-    ConvergenceError names the failing angles, or the outer relative error
-    estimate, and L.
+    ``start`` is the (phi depth d, u depth) of the starting call.  The phi
+    quadrature starts from the d + 1 panels of the chain toward pi/2, with
+    edges pi/2 (1 - 2^-k), k = 1 .. d, in one call of the phi-integrand on
+    their 21 (d + 1) nodes, and each outer refinement step calls it on 42.
+    Each call at m nodes runs one batched u-quadrature, whose columns j and
+    m + j are the energy and force integrals at phi_j: the starting call's
+    from the chain of the start's u depth, every later one's from the chain
+    of ``depth``.  A ConvergenceError names the failing angles, or the outer
+    relative error estimate, and L.
     """
-    phi_depth, u_depth = (0, depth) if start is None else start
+    phi_depth, u_depth = start
     # the u depth of the next call, and the worst relative inner error so far
     state = [u_depth, 0.0]
 
     def outer_integrand(phis):
         value, error = _u_quadrature(
-            inner(cavity, L, phis),
+            _zero_t_inner(kernels, cavity, L, phis),
             lambda bad: "phi=" + ", ".join(f"{p:.6f}" for p in phis[bad]),
             f"L={L:.3e} m",
             state[0],
@@ -668,11 +655,9 @@ def _zero_t_direct_per_area(cavity: CavityReflection, L: float):
     Both quadratures start from the chains that refinement from one panel
     reaches (``_zero_t_direct_starts``), so the usual solve makes one call
     of the phi integrand, which runs one u-quadrature in one call.  At 1 nm
-    with lambda_p = 1 um that call holds 378 u-nodes by 231 angles, where
-    phi refined from one panel, and u from the chain of ``_ZERO_T_DEPTH``,
-    took 11 serial phi calls and 64 serial u calls.
+    with lambda_p = 1 um that call holds 378 u-nodes by 231 angles.
     """
-    outer, inner_error = _angular(_zero_t_inner, cavity, L, _PHI_STEP_DEPTH, _zero_t_direct_starts(cavity, L))
+    outer, inner_error = _angular(_loop_kernels, cavity, L, _zero_t_direct_starts(cavity, L), _PHI_STEP_DEPTH)
     j_e, j_f = outer.value
     prefactor = HBAR * C / (32.0 * math.pi**2)
     rel_err = _relative(outer.error, outer.value) + inner_error + _U_CUT_ERROR + _ROUNDOFF_ERROR
@@ -681,8 +666,8 @@ def _zero_t_direct_per_area(cavity: CavityReflection, L: float):
 
 def _zero_t_remainder_per_area(cavity: CavityReflection, L: float):
     """(E/A, F/A, relative error) at T = 0 as the closed forms less the
-    remainder R of ``_zero_t_remainder_inner``, whose u-quadratures start
-    from the chain of depth ``_REMAINDER_DEPTH``, 84 nodes.
+    remainder R of ``_deficit_kernels``, whose u-quadratures start from the
+    chain of depth ``_REMAINDER_DEPTH``, 84 nodes, and phi from one panel.
 
     R is 1 - eta of the result, about 4 lambda_p / (2 pi L) for the energy
     far above lambda_p, so the estimate scales R's error by
@@ -690,7 +675,7 @@ def _zero_t_remainder_per_area(cavity: CavityReflection, L: float):
     below lambda_p, where the subtraction cancels.  The perfect pair's
     share past the u-cut, which bounds R's, counts against the closed form.
     """
-    outer, inner_error = _angular(_zero_t_remainder_inner, cavity, L, _REMAINDER_DEPTH)
+    outer, inner_error = _angular(_deficit_kernels, cavity, L, (0, _REMAINDER_DEPTH), _REMAINDER_DEPTH)
     j_e, j_f = value = _PERFECT_ZERO_T - outer.value
     error = outer.error + inner_error * np.abs(outer.value) + _U_CUT_ERROR * _PERFECT_ZERO_T
     prefactor = HBAR * C / (32.0 * math.pi**2)
@@ -719,13 +704,16 @@ def _block_start(u_lo: float):
     is some 1 to 4 u_lo wide, or narrower relative to u_lo where
     u_lo < 0.1, never past w = 2^-15 U_SPAN.  The block starts from the
     chain of the narrowest dyadic w >= max(3 u_lo, sqrt(1.5 u_lo)), 2 to
-    14 deep, which refinement reached in every block measured but a few of
-    a nearly transparent plasma mirror (L < 1e-3 lambda_p) facing a
-    perfect one (BENCH_21.json, BENCH_22.json); uncapped, 1 nm at 1e-12 K
-    would start at depth 59, where exp(-u) rounds to 1.  It holds 128
-    terms on the 63 nodes of depth 2 and 512 // (depth + 2) on deeper
-    chains, so no start mesh holds more values than 128 terms on 84 nodes
-    would: 32 terms at depth 14.
+    14 deep, which refinement reached in every block measured but a few:
+    of a nearly transparent plasma mirror (L < 1e-3 lambda_p) facing a
+    perfect one (BENCH_21.json, BENCH_22.json), one of a symmetric
+    lambda_p = 1 nm pair at L = 0.1 nm and 300 K (BENCH_22.json) and one of
+    lambda_p = 136 nm facing 231 nm at 16.6 nm and 20 K (BENCH_28.json).
+    Those keep their accuracy but not the bits of refining from one panel.
+    Uncapped, 1 nm at 1e-12 K would start at depth 59, where exp(-u)
+    rounds to 1.  It holds 128 terms on the 63 nodes of depth 2 and
+    512 // (depth + 2) on deeper chains, so no start mesh holds more
+    values than 128 terms on 84 nodes would: 32 terms at depth 14.
     """
     width = max(3.0 * u_lo, math.sqrt(1.5 * u_lo))
     depth = int(max(2, min(14, math.log2(_U_SPAN / width))))

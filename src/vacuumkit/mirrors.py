@@ -21,17 +21,18 @@ r_TM = 1; ``static_deficit`` returns 1 - |r_TE|, which depends on kappa
 alone, and ``tm_deficit`` 1 - r_TM at any xi, neither formed by
 subtraction, so they stay accurate where |r| lies within rounding of 1.
 
-The imaginary-axis amplitudes take an optional ``Scratch``: named float64
-buffers that are kept from call to call, separately in each thread.  With
-one, every intermediate and the returned pair are written into its
-buffers, with the ufuncs and operand grouping of the formula, so the bits
-are those of a call without it, which returns new arrays.  The Casimir
-engine evaluates its integrands this way and allocates no full-size array
-per call.
+The imaginary-axis amplitudes take a ``Scratch``: named float64 buffers
+that are kept from call to call, separately in each thread.  Every
+intermediate and the returned pair are written into its buffers, with the
+ufuncs and operand grouping of the formula, so the bits are those of the
+formula evaluated into new arrays.  The Casimir engine evaluates its
+integrands this way and allocates no full-size array per call;
+``reflection_amplitude_imaginary`` passes a new Scratch and returns copies.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 import threading
@@ -88,11 +89,6 @@ class Scratch(threading.local):
         return self._partner
 
 
-def _fresh(name: str, shape: tuple, count: int) -> tuple:
-    """New arrays for every request: the buffers of a call without a Scratch."""
-    return tuple(np.empty(shape) for _ in range(count))
-
-
 @dataclass(frozen=True)
 class PerfectMirror:
     """Unit reflection at every frequency.
@@ -106,7 +102,7 @@ class PerfectMirror:
     # the limit omega_p -> infinity of a plasma mirror
     plasma_wavelength = 0.0
 
-    def amplitude_imaginary(self, xi, kappa, scratch=None):
+    def amplitude_imaginary(self, xi, kappa, scratch):
         return -1.0, 1.0
 
     def static_deficit(self, k):
@@ -147,16 +143,14 @@ class PlasmaMirror:
         plasma_wavelength = _check_positive("plasma wavelength", plasma_wavelength)
         return cls(plasma_frequency=2.0 * math.pi * C / plasma_wavelength)
 
-    def amplitude_imaginary(self, xi, kappa, scratch=None):
+    def amplitude_imaginary(self, xi, kappa, scratch):
         """(r_TE, r_TM) at imaginary frequency xi and decay constant kappa:
         r_TE of kappa's shape, r_TM of the broadcast shape, in the buffers of
-        ``scratch``, which the next call with it overwrites, or new without
-        it."""
-        take = _fresh if scratch is None else scratch
+        ``scratch``, which the next call with it overwrites."""
         xi = np.asarray(xi, dtype=float)
         kappa = np.asarray(kappa, dtype=float)
-        kappa_m, d_tm, work = self._tm_parts(xi, kappa, take)
-        d_te, two_kappa = take("plasma te", kappa.shape, 2)
+        kappa_m, d_tm, work = self._tm_parts(xi, kappa, scratch)
+        d_te, two_kappa = scratch("plasma te", kappa.shape, 2)
         np.add(kappa, kappa_m, out=d_te)
         np.divide((self.plasma_frequency / C) ** 2, d_te, out=d_te)
         # r_TE = -d_te / (d_te + 2 kappa), r_TM = d_tm / (d_tm + 2 kappa_m)
@@ -179,14 +173,14 @@ class PlasmaMirror:
         np.divide(kappa_m, work, out=d_tm)
         return d_tm
 
-    def _tm_parts(self, xi, kappa, take):
+    def _tm_parts(self, xi, kappa, scratch):
         """kappa_m = sqrt(kappa^2 + kp^2) of kappa's shape, and d_tm with a
-        free buffer of the broadcast shape, all from ``take``."""
+        free buffer of the broadcast shape, all in ``scratch``."""
         kp2 = (self.plasma_frequency / C) ** 2
         # factors of xi alone keep xi's shape, those of kappa alone kappa's
-        q2, a, eps, eps_1 = take("plasma xi", xi.shape, 4)
-        kappa2, kappa_m = take("plasma kappa", kappa.shape, 2)
-        work, d_tm = take("plasma", np.broadcast(xi, kappa).shape, 2)
+        q2, a, eps, eps_1 = scratch("plasma xi", xi.shape, 4)
+        kappa2, kappa_m = scratch("plasma kappa", kappa.shape, 2)
+        work, d_tm = scratch("plasma", np.broadcast(xi, kappa).shape, 2)
         np.divide(xi, C, out=q2)
         np.square(q2, out=q2)
         np.square(kappa, out=kappa2)
@@ -239,7 +233,7 @@ def reflection_amplitude_imaginary(model: Mirror, xi, k):
             f"xi of shape {xi_a.shape} and k of shape {k_a.shape} do not broadcast"
         ) from None
     with np.errstate(all="ignore"):
-        pair = model.amplitude_imaginary(xi_a, np.sqrt(np.square(xi_a / C) + np.square(k_a)))
+        pair = model.amplitude_imaginary(xi_a, np.sqrt(np.square(xi_a / C) + np.square(k_a)), Scratch())
     finite = np.isfinite(pair[0]) & np.isfinite(pair[1])
     if not np.all(finite):
         i = np.argmin(np.broadcast_to(finite, shape))
@@ -268,14 +262,14 @@ class CavityReflection:
         """The larger plasma wavelength of the two mirrors, 0 for a perfect one."""
         return max(self.mirror1.plasma_wavelength, self.mirror2.plasma_wavelength)
 
-    def amplitude_imaginary(self, xi, kappa, scratch=None):
+    def amplitude_imaginary(self, xi, kappa, scratch):
         """Loop amplitudes (r_TE, r_TM) at xi and kappa, written over the
-        first mirror's arrays: in ``scratch``, whose ``partner`` holds the
-        second mirror's of an unequal pair, or new without it."""
+        first mirror's arrays in ``scratch``, whose ``partner`` holds the
+        second mirror's of an unequal pair."""
         te1, tm1 = self.mirror1.amplitude_imaginary(xi, kappa, scratch)
         if self.mirror2 == self.mirror1:
             return _product(te1, te1), _product(tm1, tm1)
-        te2, tm2 = self.mirror2.amplitude_imaginary(xi, kappa, None if scratch is None else scratch.partner)
+        te2, tm2 = self.mirror2.amplitude_imaginary(xi, kappa, scratch.partner)
         return _product(te1, te2), _product(tm1, tm2)
 
     def static_deficit(self, k):
@@ -321,6 +315,8 @@ def airy_factor(r_p: complex, kappa_L: float) -> float:
     SingularResonanceError on resonance.
     """
     r = complex(r_p)
+    if not (cmath.isfinite(r) and math.isfinite(kappa_L)):
+        raise DomainError(f"r_p and kappa_L must be finite, got r_p={r_p!r}, kappa_L={kappa_L!r}")
     mag2 = abs(r) ** 2
     if mag2 > 1.0 + 1e-12:
         raise DomainError(f"|r_p| must not exceed 1, got {abs(r)!r}")

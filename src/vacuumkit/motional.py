@@ -23,6 +23,7 @@ frequency) are advisory: the laws are evaluated wherever requested.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,12 +126,15 @@ class Trajectory:
     @classmethod
     def from_file(cls, path: str) -> "Trajectory":
         """Load a two-column (t, q) text file and validate finite, uniform sampling."""
-        data = np.loadtxt(path, dtype=float)
-        if data.ndim != 2 or data.shape[1] != 2:
+        with warnings.catch_warnings():
+            # an empty file is reported below, as one of 0 samples
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, dtype=float, ndmin=2)
+        if data.shape[0] < len(STENCIL_OFFSETS):
+            raise DomainError(f"{path}: need at least {len(STENCIL_OFFSETS)} samples, got {data.shape[0]}")
+        if data.shape[1] != 2:
             raise DomainError(f"{path}: expected two columns (t, q)")
         t, q = data[:, 0], data[:, 1]
-        if t.size < len(STENCIL_OFFSETS):
-            raise DomainError(f"{path}: need at least {len(STENCIL_OFFSETS)} samples, got {t.size}")
         for name, column in (("time", t), ("position", q)):
             if not np.all(np.isfinite(column)):
                 raise DomainError(f"{path}: {name} column must be finite")

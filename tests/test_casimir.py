@@ -968,7 +968,7 @@ class TestMatsubaraSum:
         # and 300 K they end at n_max = floor(U_SPAN / du), in one block
         du = 2.0 * ThermalState(300.0).temperature_frequency * 1e-6 / C
         n_max = int(casimir._U_SPAN // du)
-        nan = lambda self, xi, kappa, scratch=None: (np.full(np.broadcast_shapes(np.shape(xi), np.shape(kappa)), np.nan),) * 2
+        nan = lambda self, xi, kappa, scratch: (np.full(np.broadcast_shapes(np.shape(xi), np.shape(kappa)), np.nan),) * 2
         monkeypatch.setattr(CavityReflection, "amplitude_imaginary", nan)
         last = rf"{n_max - 1}, {n_max} \(L=1\.000e-06 m, T=300\.0 K"
         with pytest.raises(ConvergenceError, match=r"n=1, 2, 3, .*, " + last):
@@ -1211,7 +1211,7 @@ class TestBufferedIntegrands:
             phis = np.sort(rng.uniform(0.0, 0.5 * math.pi, c))
             n = np.arange(1, c + 1)
             # each buffered result is compared before the next call reuses it
-            got = casimir._zero_t_inner(pair, L, phis)(nodes)
+            got = casimir._zero_t_inner(casimir._loop_kernels, pair, L, phis)(nodes)
             want = expression_zero_t_inner(pair, L, phis, nodes)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (q, c)
             got = casimir._matsubara_block(pair, L, du, theta, n)(nodes)
@@ -1231,8 +1231,8 @@ class TestBufferedIntegrands:
         nodes = np.sort(rng.uniform(0.0, casimir._U_SPAN, q))
         phis = np.sort(rng.uniform(0.0, 0.5 * math.pi, c))
         for f in (
-            casimir._zero_t_inner(pair, L, phis),
-            casimir._zero_t_remainder_inner(pair, L, phis),
+            casimir._zero_t_inner(casimir._loop_kernels, pair, L, phis),
+            casimir._zero_t_inner(casimir._deficit_kernels, pair, L, phis),
             casimir._matsubara_block(pair, L, du, theta, np.arange(1, c + 1)),
             casimir._matsubara_block(pair, L, du, theta, np.arange(0, c)),
         ):
@@ -1430,8 +1430,9 @@ class TestUCut:
         phis = np.array([1e-3, 0.4, 0.8, 1.2, 1.5, 1.57])
         shares = []
         for L in self.LENGTHS:
-            shares.append(self.share_past_cut(casimir._zero_t_inner(pair, L, phis), casimir._ZERO_T_DEPTH))
-            remainder = casimir._zero_t_remainder_inner(pair, L, phis)
+            direct = casimir._zero_t_inner(casimir._loop_kernels, pair, L, phis)
+            shares.append(self.share_past_cut(direct, casimir._ZERO_T_DEPTH))
+            remainder = casimir._zero_t_inner(casimir._deficit_kernels, pair, L, phis)
             shares.append(self.remainder_past_cut(remainder, np.repeat(casimir._PERFECT_ZERO_T, phis.size)))
 
             # n = 0 alone: the closed form less the remainder

@@ -258,6 +258,18 @@ class TestExitCodes:
         assert main(["motional", "--trajectory-file", "/nonexistent", "--area-m2", "1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("text, count", [("", 0), ("0.0 1.0\n", 1)], ids=["empty", "one-row"])
+    def test_short_trajectory_file_is_two_with_one_line(self, tmp_path, text, count):
+        # a new process, with Python's default warning filters: no loadtxt
+        # UserWarning precedes the error
+        path = tmp_path / "traj.txt"
+        path.write_text(text)
+        argv = ["motional", "--trajectory-file", str(path), "--area-m2", "1"]
+        proc = subprocess.run([sys.executable, "-m", "vacuumkit.cli", *argv], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {path}: need at least 11 samples, got {count}\n"
+        assert proc.stdout == ""
+
     def test_points_cap_is_two(self, capsys, monkeypatch):
         def no_allocation(*args, **kwargs):
             raise AssertionError("the sweep allocated its lengths before the points check")

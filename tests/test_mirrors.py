@@ -21,6 +21,8 @@ from vacuumkit import (
 )
 from vacuumkit.mirrors import MATERIALS_ENV_VAR, Scratch
 
+from test_casimir import expression_loop_amplitudes
+
 TE, TM = 0, 1  # positions in an amplitude pair
 GOLD = PlasmaMirror.from_wavelength(136e-9)
 
@@ -28,8 +30,8 @@ GOLD = PlasmaMirror.from_wavelength(136e-9)
 class TestPerfectMirror:
     def test_unit_reflection(self):
         m = PerfectMirror()
-        assert m.amplitude_imaginary(1e15, 0.0)[TE] == -1.0
-        assert m.amplitude_imaginary(1e15, 3e6)[TM] == 1.0
+        assert m.amplitude_imaginary(1e15, 0.0, Scratch())[TE] == -1.0
+        assert m.amplitude_imaginary(1e15, 3e6, Scratch())[TM] == 1.0
 
     def test_pair_shaped_to_inputs(self):
         assert reflection_amplitude_imaginary(PerfectMirror(), 1e15, 3e6) == (-1.0, 1.0)
@@ -136,7 +138,7 @@ def test_amplitudes_match_mpmath_near_transparency():
             eps = 1 + (kp / q) ** 2
             kappa, kappa_m = mpmath.sqrt(q**2 + kk**2), mpmath.sqrt(eps * q**2 + kk**2)
             k_m = mpmath.sqrt(kk**2 + kp**2)
-            r_te, r_tm = mirror.amplitude_imaginary(xi_i, math.sqrt((xi_i / C) ** 2 + k_i**2))
+            r_te, r_tm = mirror.amplitude_imaginary(xi_i, math.sqrt((xi_i / C) ** 2 + k_i**2), Scratch())
             pairs = [
                 ((kappa - kappa_m) / (kappa + kappa_m), r_te),
                 ((eps * kappa - kappa_m) / (eps * kappa + kappa_m), r_tm),
@@ -186,6 +188,12 @@ class TestAiryFactor:
         with pytest.raises(DomainError):
             airy_factor(1.5, 0.2)
 
+    @pytest.mark.parametrize("r_p, kappa_L", [(math.nan, 0.2), (0.5, math.nan), (complex(0.5, math.nan), 0.2),
+                                              (0.5, math.inf), (0.5, -math.inf), (math.inf, 0.2)])
+    def test_non_finite_inputs_rejected(self, r_p, kappa_L):
+        with pytest.raises(DomainError, match=r"r_p and kappa_L must be finite, got r_p=.*, kappa_L="):
+            airy_factor(r_p, kappa_L)
+
     @pytest.mark.parametrize("r_p", [0.3, 0.9, 0.5 * np.exp(0.7j), -0.6])
     def test_mode_average_is_unity(self, r_p):
         # lossless redistribution: the average of g over kappa L in [0, pi]
@@ -211,8 +219,8 @@ class TestCavityReflection:
     def test_product_rule(self):
         cavity = CavityReflection(GOLD, PerfectMirror())
         xi, k = 3e14, 2e6
-        expected = GOLD.amplitude_imaginary(xi, k)[TE] * (-1.0)
-        assert cavity.amplitude_imaginary(xi, k)[TE] == pytest.approx(expected, rel=1e-15)
+        expected = GOLD.amplitude_imaginary(xi, k, Scratch())[TE] * (-1.0)
+        assert cavity.amplitude_imaginary(xi, k, Scratch())[TE] == pytest.approx(expected, rel=1e-15)
 
     def test_both_perfect_detection(self):
         assert CavityReflection(PerfectMirror(), PerfectMirror()).both_perfect
@@ -234,13 +242,12 @@ class TestCavityReflection:
     def test_symmetric_pair_evaluates_its_mirror_once(self, monkeypatch):
         xi = np.array([1e13, 3e14, 2e16])
         k = np.array([[2e5], [2e6], [7e7]])
-        expected_te = GOLD.amplitude_imaginary(xi, k)[TE] * GOLD.amplitude_imaginary(xi, k)[TE]
-        expected_tm = GOLD.amplitude_imaginary(xi, k)[TM] * GOLD.amplitude_imaginary(xi, k)[TM]
+        expected_te, expected_tm = (r * r for r in GOLD.amplitude_imaginary(xi, k, Scratch()))
         delta = GOLD.static_deficit(k)
         calls = self._count_calls(monkeypatch, PlasmaMirror)
         # an equal mirror, not the same object, also counts as symmetric
         cavity = CavityReflection(GOLD, PlasmaMirror.from_wavelength(136e-9))
-        te, tm = cavity.amplitude_imaginary(xi, k)
+        te, tm = cavity.amplitude_imaginary(xi, k, Scratch())
         assert calls == [("amplitude_imaginary", GOLD)]
         np.testing.assert_array_equal(te, expected_te)
         np.testing.assert_array_equal(tm, expected_tm)
@@ -254,12 +261,13 @@ class TestCavityReflection:
         plasma_calls = self._count_calls(monkeypatch, PlasmaMirror)
         perfect_calls = self._count_calls(monkeypatch, PerfectMirror)
         xi, k = 3e14, 2e6
-        te, tm = CavityReflection(GOLD, PerfectMirror()).amplitude_imaginary(xi, k)
+        te, tm = CavityReflection(GOLD, PerfectMirror()).amplitude_imaginary(xi, k, Scratch())
         assert plasma_calls == [("amplitude_imaginary", GOLD)]
         assert perfect_calls == [("amplitude_imaginary", PerfectMirror())]
-        assert (te, tm) == (-GOLD.amplitude_imaginary(xi, k)[TE], GOLD.amplitude_imaginary(xi, k)[TM])
+        expected = GOLD.amplitude_imaginary(xi, k, Scratch())
+        assert (te, tm) == (-expected[TE], expected[TM])
         plasma_calls.clear()
-        te, tm = CavityReflection(GOLD, other).amplitude_imaginary(xi, k)
+        te, tm = CavityReflection(GOLD, other).amplitude_imaginary(xi, k, Scratch())
         assert plasma_calls == [("amplitude_imaginary", GOLD), ("amplitude_imaginary", other)]
         plasma_calls.clear()
         deficit = CavityReflection(GOLD, other).static_deficit(k)
@@ -273,21 +281,20 @@ class TestScratch:
     K = np.array([[2e5], [2e6], [7e7]])
 
     def test_calls_without_scratch_return_new_arrays(self):
-        for call in (GOLD.amplitude_imaginary, CavityReflection(GOLD, GOLD).amplitude_imaginary):
-            first, second = call(self.XI, self.K), call(self.XI, self.K)
-            for a, b in zip(first, second):
-                assert not np.shares_memory(a, b)
-                assert not np.shares_memory(a, self.XI) and not np.shares_memory(a, self.K)
-                np.testing.assert_array_equal(a, b)
-        public = reflection_amplitude_imaginary(GOLD, self.XI, self.K)
-        assert not any(np.shares_memory(r, g) for r in public for g in GOLD.amplitude_imaginary(self.XI, self.K))
+        # the public entry takes no Scratch: each call returns arrays of its own
+        first = reflection_amplitude_imaginary(GOLD, self.XI, self.K)
+        second = reflection_amplitude_imaginary(GOLD, self.XI, self.K)
+        for a, b in zip(first, second):
+            assert not np.shares_memory(a, b)
+            assert not np.shares_memory(a, self.XI) and not np.shares_memory(a, self.K)
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("second", [GOLD, PlasmaMirror.from_wavelength(231e-9), PerfectMirror()],
                              ids=["symmetric", "unequal", "perfect"])
     def test_scratch_keeps_the_bits_and_reuses_its_buffers(self, second):
         pair = CavityReflection(GOLD, second)
         scratch = Scratch()
-        expected = pair.amplitude_imaginary(self.XI, self.K)
+        expected = expression_loop_amplitudes(pair, self.XI, self.K)
         got = pair.amplitude_imaginary(self.XI, self.K, scratch)
         for a, b in zip(got, expected):
             assert a.tobytes() == b.tobytes()
@@ -295,7 +302,7 @@ class TestScratch:
         again = pair.amplitude_imaginary(self.XI[:2], self.K[:2], scratch)
         for a, b in zip(again, got):
             assert a.base is b.base
-        for a, b in zip(again, pair.amplitude_imaginary(self.XI[:2], self.K[:2])):
+        for a, b in zip(again, expression_loop_amplitudes(pair, self.XI[:2], self.K[:2])):
             assert a.tobytes() == b.tobytes()
 
     def test_buffer_grows_to_the_largest_request_and_is_kept(self):

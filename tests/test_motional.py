@@ -182,6 +182,14 @@ class TestTrajectory:
         with pytest.raises(DomainError, match=r"traj\.txt: position column must be finite"):
             Trajectory.from_file(str(path))
 
+    @pytest.mark.parametrize("text, count", [("", 0), ("0.0 1.0\n", 1)], ids=["empty", "one-row"])
+    def test_from_file_counts_the_samples_of_a_short_file(self, tmp_path, text, count):
+        # an empty file raises no loadtxt UserWarning, and one row is a sample
+        path = tmp_path / "traj.txt"
+        path.write_text(text)
+        with pytest.raises(DomainError, match=rf"traj\.txt: need at least 11 samples, got {count}$"):
+            Trajectory.from_file(str(path))
+
     def test_positions_read_only(self):
         traj = Trajectory(np.zeros(11), 1e-3)
         with pytest.raises(ValueError):
